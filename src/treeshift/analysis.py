@@ -63,7 +63,7 @@ def check_densely_defined(
     w: WeightSystem, sample=None, window: Optional[SampleWindow] = None
 ) -> DensityReport:
     """Dense definedness reduces to finiteness of every node norm."""
-    if getattr(w, "closed_form_total", False):
+    if w.closed_form_total:
         return DensityReport(status="family", notes="closed-form aggregate covers every vertex")
     if w.tree.is_finite:
         return DensityReport(status="family", notes="finite tree: all aggregates are finite sums")
@@ -187,7 +187,7 @@ def certify_trivial_aluthge_domain(
 
     Divergence of the transformed aggregate at every vertex empties the whole
     domain, because any nonzero vector has a nonzero coefficient somewhere.
-    Family-level certification needs a registered closed form; sampled
+    Family-level certification needs closed forms at every vertex; sampled
     analytic certificates are re-verified against their term streams.
     """
     if not 0 < t <= 1:
@@ -195,9 +195,10 @@ def certify_trivial_aluthge_domain(
     mu = aluthge_weights(w, t)
     vertices = _default_sample(w, sample, window)
     family_cert = None
-    if mu.family_divergent and vertices:
-        closed = mu._closed_form(vertices[0])
-        family_cert = closed.certificate
+    if w.closed_form_total and vertices:
+        closed = mu.aggregate(vertices[0])
+        if isinstance(closed, series.Diverges):
+            family_cert = closed.certificate
 
     per_vertex = {}
     heuristic = False
@@ -212,12 +213,12 @@ def certify_trivial_aluthge_domain(
             inconclusive = True
             continue
         cert = agg.certificate
-        if not getattr(cert, "heuristic", False):
-            stream = (abs(mu.weight(v)) ** 2 for v in w.tree.children(u))
-            count = max(_CERT_VERIFY_TERMS, getattr(cert, "start", 0) + 16)
-            series.verify_certificate(cert, stream, count)
-        else:
+        if cert.heuristic:
             heuristic = True
+        else:
+            stream = (abs(mu.weight(v)) ** 2 for v in w.tree.children(u))
+            count = max(_CERT_VERIFY_TERMS, cert.start + 16)
+            series.verify_certificate(cert, stream, count)
         per_vertex[format_vertex(u)] = cert
 
     if family_cert is not None:
@@ -302,12 +303,7 @@ def nonclosability_witness(
             crossing = k
 
     ratio_limit = 4.0 ** (1 - t)
-    start = 0
-    while ratio_limit * ((start + 1) / (start + 2)) ** 2 <= 1.0:
-        start += 1
-    certificate = series.EventuallyIncreasing(
-        start, ratio_limit * ((start + 1) / (start + 2)) ** 2
-    )
+    certificate = series.closed_form_aggregate(ratio_limit).certificate
     series.verify_certificate(certificate, iter(term_list), len(term_list))
 
     probes = tuple(

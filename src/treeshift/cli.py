@@ -9,11 +9,12 @@ mismatch, missing witness), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
 
-from . import __version__, analysis, oracle, series
+from . import __version__, analysis, oracle
 from .errors import NoWitnessError, OracleError, TreeShiftError
 from .operators import basis_vector
 from .trees import (
@@ -124,10 +125,14 @@ def _explicit_spec(doc: dict):
 
 def _parse_weight(value) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ParseError(f"weight must be a number or an [re, im] pair, got {value!r}")
+        weight = complex(value)
+    elif isinstance(value, list) and len(value) == 2:
+        weight = complex(float(value[0]), float(value[1]))
+    else:
+        raise ParseError(f"weight must be a number or an [re, im] pair, got {value!r}")
+    if not cmath.isfinite(weight):
+        raise ParseError(f"weight must be finite, got {value!r}")
+    return weight
 
 
 def _vertex_label(meta: dict, v) -> str:
@@ -170,30 +175,7 @@ def _pair(z: complex) -> list:
 def cert_dict(cert) -> dict:
     if cert is None:
         return None
-    if isinstance(cert, series.TermsDoNotVanish):
-        return {
-            "kind": "terms-do-not-vanish",
-            "start": cert.start,
-            "lower_bound": cert.lower_bound,
-            "heuristic": cert.heuristic,
-        }
-    if isinstance(cert, series.EventuallyIncreasing):
-        return {
-            "kind": "eventually-increasing",
-            "start": cert.start,
-            "ratio": cert.ratio,
-            "heuristic": cert.heuristic,
-        }
-    if isinstance(cert, series.PartialSumExceeds):
-        return {
-            "kind": "partial-sum-exceeds",
-            "threshold": cert.threshold,
-            "crossed_at": cert.crossed_at,
-            "heuristic": cert.heuristic,
-        }
-    if is_dataclass(cert):
-        return {"kind": type(cert).__name__, **asdict(cert)}
-    return {"kind": str(cert)}
+    return {"kind": cert.kind, **asdict(cert)}
 
 
 def _margin_dict(margins: dict) -> dict:
@@ -458,7 +440,7 @@ def main(argv=None) -> int:
     except NoWitnessError as exc:
         sys.stderr.write(f"no witness: {exc}\n")
         return 2
-    except OracleError as exc:
+    except (OracleError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
     except TreeShiftError as exc:

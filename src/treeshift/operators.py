@@ -219,11 +219,16 @@ class DomainVerdict:
         return self.status == "out"
 
 
-def _node_norm_checked(w: WeightSystem, v) -> NodeNorm:
+def _domain_norm(w: WeightSystem, v) -> NodeNorm:
+    """Finite node norm at ``v``; an infinite one puts the vector outside the domain."""
     nn = w.node_norm(v)
-    if nn.status == "unknown":
-        raise EvaluationError(f"node norm at {v!r} is undetermined", vertex=v)
-    return nn
+    if nn.status == "infinite":
+        raise OutOfDomainError(
+            f"vector leaves the domain: infinite node norm at {v!r}",
+            vertex=v,
+            certificate=nn.certificate,
+        )
+    return w.finite_norm(v)
 
 
 def _expand_if_possible(w: WeightSystem, result: StructuredVector) -> StructuredVector:
@@ -243,13 +248,7 @@ def apply_shift(w: WeightSystem, f: StructuredVector) -> StructuredVector:
         raise UnsupportedRepresentationError("shift application takes a plain basis combination")
     out = {}
     for v, c in f.e.items():
-        nn = _node_norm_checked(w, v)
-        if nn.status == "infinite":
-            raise OutOfDomainError(
-                f"vector leaves the domain: infinite node norm at {v!r}",
-                vertex=v,
-                certificate=nn.certificate,
-            )
+        nn = _domain_norm(w, v)
         if nn.value == 0.0:
             continue
         out[v] = out.get(v, 0j) + c * nn.value
@@ -278,13 +277,7 @@ def apply_modulus_power(w: WeightSystem, alpha: float, f: StructuredVector) -> S
     g = expand(f) if f.b else f
     out = {}
     for v, c in g.e.items():
-        nn = _node_norm_checked(w, v)
-        if nn.status == "infinite":
-            raise OutOfDomainError(
-                f"vector leaves the domain: infinite node norm at {v!r}",
-                vertex=v,
-                certificate=nn.certificate,
-            )
+        nn = _domain_norm(w, v)
         if nn.value == 0.0:
             continue
         out[v] = c * nn.value**alpha
@@ -305,9 +298,7 @@ def apply_adjoint_modulus_power(w: WeightSystem, alpha: float, f: StructuredVect
         parent = w.tree.parent(v)
         if parent is None:
             continue
-        nn = _node_norm_checked(w, parent)
-        if nn.status == "infinite":
-            raise EvaluationError(f"node norm at {parent!r} is infinite", vertex=parent)
+        nn = w.finite_norm(parent)
         if nn.value == 0.0:
             continue
         out[parent] = out.get(parent, 0j) + c * w.weight(v).conjugate() * nn.value ** (alpha - 1)
@@ -322,10 +313,7 @@ def apply_partial_isometry(w: WeightSystem, f: StructuredVector) -> StructuredVe
     g = expand(f) if f.b else f
     out = {}
     for u, c in g.e.items():
-        nn = _node_norm_checked(w, u)
-        if nn.status == "infinite":
-            raise EvaluationError(f"node norm at {u!r} is infinite", vertex=u)
-        if nn.value == 0.0:
+        if w.finite_norm(u).value == 0.0:
             continue
         out[u] = out.get(u, 0j) + c
     return _expand_if_possible(w, StructuredVector(w, None, out))
@@ -339,9 +327,7 @@ def apply_partial_isometry_adjoint(w: WeightSystem, f: StructuredVector) -> Stru
         parent = w.tree.parent(v)
         if parent is None:
             continue
-        nn = _node_norm_checked(w, parent)
-        if nn.status == "infinite":
-            raise EvaluationError(f"node norm at {parent!r} is infinite", vertex=parent)
+        nn = w.finite_norm(parent)
         if nn.value == 0.0:
             continue
         out[parent] = out.get(parent, 0j) + c * w.weight(v).conjugate() / nn.value
@@ -404,9 +390,7 @@ def adjoint_aluthge_basis_action(w: WeightSystem, t: float, v) -> StructuredVect
     grand = tree.parent(parent)
     if grand is None:
         return zero_vector()
-    grand_norm = _node_norm_checked(w, grand)
-    if grand_norm.status == "infinite":
-        raise EvaluationError(f"node norm at {grand!r} is infinite", vertex=grand)
+    grand_norm = w.finite_norm(grand)
     if grand_norm.value == 0.0:
         return zero_vector()
     mu = aluthge_weights(w, t)

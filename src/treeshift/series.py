@@ -27,15 +27,11 @@ __all__ = [
     "Diverges",
     "Inconclusive",
     "SeriesVerdict",
-    "Finite",
-    "Infinite",
-    "ExtendedNonneg",
     "SumPolicy",
     "DEFAULT_POLICY",
     "sum_series",
     "verify_certificate",
     "inverse_square_sum",
-    "register_closed_form",
     "closed_form_aggregate",
 ]
 
@@ -46,6 +42,7 @@ _REL_SLACK = 1e-9  # float slack when checking analytic certificates on computed
 class TermsDoNotVanish:
     """All terms from ``start`` on are at least ``lower_bound`` > 0."""
 
+    kind = "terms-do-not-vanish"
     start: int
     lower_bound: float
     heuristic: bool = False
@@ -55,6 +52,7 @@ class TermsDoNotVanish:
 class EventuallyIncreasing:
     """From ``start`` on, each term is at least ``ratio`` > 1 times the previous."""
 
+    kind = "eventually-increasing"
     start: int
     ratio: float
     heuristic: bool = False
@@ -67,6 +65,7 @@ class PartialSumExceeds:
     Evidence-grade only: says nothing about the infinite tail.
     """
 
+    kind = "partial-sum-exceeds"
     threshold: float
     crossed_at: int
     heuristic: bool = True
@@ -93,22 +92,6 @@ class Inconclusive:
 
 
 SeriesVerdict = Union[Converges, Diverges, Inconclusive]
-
-
-@dataclass(frozen=True)
-class Finite:
-    """Nonnegative value; ``error`` bounds the defect of a truncated evaluation."""
-
-    value: float
-    error: float = 0.0
-
-
-@dataclass(frozen=True)
-class Infinite:
-    certificate: DivergenceCertificate
-
-
-ExtendedNonneg = Union[Finite, Infinite]
 
 
 @dataclass(frozen=True)
@@ -225,8 +208,8 @@ def sum_series(
 
 def _nonneg(terms: Iterable[float]):
     for term in terms:
-        if term < 0:
-            raise NonnegativityError(f"negative series term {term}")
+        if not term >= 0:  # also rejects NaN
+            raise NonnegativityError(f"negative or NaN series term {term}")
         yield term
 
 
@@ -236,15 +219,15 @@ def _cert_start(certificate: DivergenceCertificate) -> int:
     return certificate.crossed_at
 
 
-_INV_SQUARE: Optional[Finite] = None
+_INV_SQUARE: Optional[Converges] = None
 _INV_SQUARE_TERMS = 10_000_000
 
 
-def inverse_square_sum() -> Finite:
+def inverse_square_sum() -> Converges:
     """Sum of 1/n^2 over n >= 1, by direct summation.
 
     Partial sum to 1e7 terms plus the midpoint tail correction 1/(N + 1/2);
-    the error field bounds both the correction defect and the float rounding
+    the tail bound covers both the correction defect and the float rounding
     of the pairwise sum.  Computed once and cached.
     """
     global _INV_SQUARE
@@ -254,24 +237,25 @@ def inverse_square_sum() -> Finite:
         partial = float(np.sum(1.0 / (ns * ns)))
         value = partial + 1.0 / (n + 0.5)
         error = 1.0 / (6.0 * (n + 1.0) ** 3) + 64 * np.finfo(np.float64).eps
-        _INV_SQUARE = Finite(value, error)
+        _INV_SQUARE = Converges(value, error)
     return _INV_SQUARE
 
 
-_CLOSED_FORMS: dict[str, Callable] = {}
+def closed_form_aggregate(growth: float, scale: float = 1.0) -> SeriesVerdict:
+    """Verdict for the sum over n >= 0 of scale * growth^n / (n + 1)^2.
 
-
-def register_closed_form(key: str, fn: Callable) -> None:
-    """Register an exact aggregate formula for a (family, weight-kind) pair."""
-    _CLOSED_FORMS[key] = fn
-
-
-def closed_form_aggregate(key: str, vertex, **params) -> Optional[ExtendedNonneg]:
-    """Exact analytic aggregate for a registered family, or None when absent.
-
-    Callers fall back to ``sum_series`` when no closed form is registered.
+    At growth 1 this is scale times the inverse-square constant.  Above 1,
+    consecutive terms grow by growth * ((n+1)/(n+2))^2, which exceeds 1 from
+    some index on; the divergence certificate carries that index and ratio.
     """
-    fn = _CLOSED_FORMS.get(key)
-    if fn is None:
-        return None
-    return fn(vertex, **params)
+    if growth == 1.0:
+        inv_sq = inverse_square_sum()
+        return Converges(scale * inv_sq.value, scale * inv_sq.tail_bound)
+    if not growth > 1.0:
+        raise ValueError(f"no closed form for growth {growth} below 1")
+    n = 0
+    while growth * ((n + 1) / (n + 2)) ** 2 <= 1.0:
+        n += 1
+        if n > 10**7:
+            raise ArithmeticError("no increasing index found; growth too close to 1")
+    return Diverges(EventuallyIncreasing(n, growth * ((n + 1) / (n + 2)) ** 2))

@@ -4,8 +4,8 @@ A weight system assigns a complex weight to every non-root vertex.  The
 square norm of the shift at a basis vector is the aggregate of squared child
 weights; derived systems divide by parent norms (polar factor) or scale by a
 power of the child/parent norm ratio (Aluthge transform).  Aggregates go
-through exact finite sums, registered closed forms, or the series engine, in
-that order.
+through a system's own closed form, exact finite sums, or the series engine,
+in that order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 from . import series
 from .errors import EvaluationError, StructureError
-from .trees import DescendantSubtree, DirectedTree, OmegaTree, OmegaVertex
+from .trees import DescendantSubtree, DirectedTree, OmegaTree
 
 __all__ = [
     "NodeNorm",
@@ -76,9 +76,15 @@ def _norm_from_verdict(verdict: series.SeriesVerdict) -> NodeNorm:
 
 
 class WeightSystem:
-    """Base class: weights live on non-root vertices of ``tree``."""
+    """Base class: weights live on non-root vertices of ``tree``.
+
+    Subclasses with analytic aggregates override ``_closed_form`` (their own
+    aggregates) and ``_aluthge_closed_form`` (those of their transforms), and
+    set ``closed_form_total`` when the closed forms cover every vertex.
+    """
 
     kind = "user"
+    closed_form_total = False
 
     def __init__(self, tree: DirectedTree, policy: series.SumPolicy = series.DEFAULT_POLICY):
         self.tree = tree
@@ -93,7 +99,10 @@ class WeightSystem:
         if self.tree.root is not None and v == self.tree.root:
             raise EvaluationError("weights are defined on non-root vertices only", vertex=v)
 
-    def _closed_form(self, u) -> Optional[series.ExtendedNonneg]:
+    def _closed_form(self, u) -> Optional[series.SeriesVerdict]:
+        return None
+
+    def _aluthge_closed_form(self, u, t: float) -> Optional[series.SeriesVerdict]:
         return None
 
     def _divergence_claim(self, u) -> Optional[series.DivergenceCertificate]:
@@ -111,12 +120,11 @@ class WeightSystem:
     def _aggregate_uncached(self, u) -> series.SeriesVerdict:
         closed = self._closed_form(u)
         if closed is not None:
-            if isinstance(closed, series.Finite):
-                return series.Converges(closed.value, closed.error)
-            return series.Diverges(closed.certificate)
-        count = self.tree.child_count(u)
-        if count is not None:
+            return closed
+        if self.tree.child_count(u) is not None:
             total = math.fsum(abs(self.weight(v)) ** 2 for v in self.tree.children(u))
+            if not math.isfinite(total):
+                raise EvaluationError(f"squared-weight sum at {u!r} is {total}", vertex=u)
             return series.Converges(total, 0.0)
         stream = (abs(self.weight(v)) ** 2 for v in self.tree.children(u))
         return series.sum_series(stream, self.policy, certificate=self._divergence_claim(u))
@@ -124,14 +132,19 @@ class WeightSystem:
     def node_norm(self, u) -> NodeNorm:
         return _norm_from_verdict(self.aggregate(u))
 
+    def finite_norm(self, u, vertex=None) -> NodeNorm:
+        """The node norm at ``u``; an infinite or undetermined one is an
+        evaluation error naming ``vertex`` (default ``u``)."""
+        nn = self.node_norm(u)
+        if nn.status != "finite":
+            state = "infinite" if nn.status == "infinite" else "undetermined"
+            named = u if vertex is None else vertex
+            raise EvaluationError(f"node norm at {u!r} is {state}", vertex=named)
+        return nn
+
     def is_active(self, u) -> bool:
         """Whether the shift sends the basis vector at ``u`` to a nonzero vector."""
-        nn = self.node_norm(u)
-        if nn.status == "finite":
-            return nn.value > 0.0
-        if nn.status == "infinite":
-            raise EvaluationError(f"node norm at {u!r} is infinite", vertex=u)
-        raise EvaluationError(f"node norm at {u!r} is undetermined", vertex=u)
+        return self.finite_norm(u).value > 0.0
 
 
 class TableWeights(WeightSystem):
@@ -203,7 +216,6 @@ class OmegaShiftWeights(WeightSystem):
 
     kind = "omega-shift"
     closed_form_total = True
-    aluthge_aggregate_key = "omega-aluthge"
 
     def __init__(self, tree: Optional[DirectedTree] = None):
         tree = tree if tree is not None else OmegaTree()
@@ -215,7 +227,15 @@ class OmegaShiftWeights(WeightSystem):
         return complex(2.0 ** (v.digit_sum - v.last_digit) / (v.last_digit + 1))
 
     def _closed_form(self, u):
-        return series.closed_form_aggregate("omega-shift", u)
+        return series.closed_form_aggregate(1.0, 4.0**u.digit_sum)
+
+    def _aluthge_closed_form(self, u, t):
+        # squared transformed child weights are 4^S(u) * 4^(t n) / (n + 1)^2;
+        # the ratio certificate does not depend on the 4^S(u) scale
+        growth = 4.0**t
+        if growth == 1.0:
+            raise ArithmeticError(f"4^t rounds to 1 at t={t}; t too small for floats")
+        return series.closed_form_aggregate(growth)
 
     def margin_terms(self, u=None):
         """Terms of the per-vertex hyponormality margin, in child-digit order.
@@ -240,39 +260,6 @@ class OmegaShiftWeights(WeightSystem):
         return (4.0 / 3.0) * 4.0 ** (-n) / ((n + 1) ** 2 * inv_sq)
 
 
-def _omega_shift_aggregate(vertex: OmegaVertex) -> series.ExtendedNonneg:
-    inv_sq = series.inverse_square_sum()
-    scale = 4.0**vertex.digit_sum
-    return series.Finite(scale * inv_sq.value, scale * inv_sq.error)
-
-
-def aluthge_divergence_params(t: float) -> tuple[int, float]:
-    """Start index and ratio bound for the transformed-weight aggregate terms.
-
-    The squared transformed weights at any vertex are proportional to
-    4^(t n) / (n + 1)^2 over the child digit n, so consecutive terms grow by
-    4^t ((n+1)/(n+2))^2, which exceeds 1 from some digit on whenever t > 0.
-    """
-    if not 0 < t <= 1:
-        raise ValueError("t must lie in (0, 1]")
-    growth = 4.0**t
-    n = 0
-    while growth * ((n + 1) / (n + 2)) ** 2 <= 1.0:
-        n += 1
-        if n > 10**7:
-            raise ArithmeticError("no increasing index found; t too small for floats")
-    return n, growth * ((n + 1) / (n + 2)) ** 2
-
-
-def _omega_aluthge_aggregate(vertex: OmegaVertex, t: float) -> series.ExtendedNonneg:
-    start, ratio = aluthge_divergence_params(t)
-    return series.Infinite(series.EventuallyIncreasing(start, ratio))
-
-
-series.register_closed_form("omega-shift", _omega_shift_aggregate)
-series.register_closed_form("omega-aluthge", _omega_aluthge_aggregate)
-
-
 class PolarWeights(WeightSystem):
     """Weights of the polar-factor shift: child weight over parent node norm.
 
@@ -289,23 +276,13 @@ class PolarWeights(WeightSystem):
 
     def weight(self, v) -> complex:
         self._require_non_root(v)
-        parent = self.tree.parent(v)
-        nn = self.base.node_norm(parent)
-        if nn.status == "infinite":
-            raise EvaluationError(f"parent norm at {parent!r} is infinite", vertex=v)
-        if nn.status == "unknown":
-            raise EvaluationError(f"parent norm at {parent!r} is undetermined", vertex=v)
+        nn = self.base.finite_norm(self.tree.parent(v), vertex=v)
         if nn.value == 0.0:
             return 0j
         return complex(self.base.weight(v)) / nn.value
 
     def _closed_form(self, u):
-        nn = self.base.node_norm(u)
-        if nn.status == "finite":
-            return series.Finite(1.0 if nn.value > 0.0 else 0.0, 0.0)
-        if nn.status == "infinite":
-            raise EvaluationError(f"node norm at {u!r} is infinite", vertex=u)
-        return None
+        return series.Converges(1.0 if self.base.finite_norm(u).value > 0.0 else 0.0, 0.0)
 
 
 class AluthgeWeights(WeightSystem):
@@ -322,28 +299,14 @@ class AluthgeWeights(WeightSystem):
 
     def weight(self, v) -> complex:
         self._require_non_root(v)
-        parent = self.tree.parent(v)
-        parent_norm = self.base.node_norm(parent)
-        child_norm = self.base.node_norm(v)
-        for vertex, nn in ((parent, parent_norm), (v, child_norm)):
-            if nn.status == "infinite":
-                raise EvaluationError(f"node norm at {vertex!r} is infinite", vertex=v)
-            if nn.status == "unknown":
-                raise EvaluationError(f"node norm at {vertex!r} is undetermined", vertex=v)
+        parent_norm = self.base.finite_norm(self.tree.parent(v), vertex=v)
+        child_norm = self.base.finite_norm(v)
         if parent_norm.value == 0.0:
             return 0j
         return (child_norm.value / parent_norm.value) ** self.t * complex(self.base.weight(v))
 
     def _closed_form(self, u):
-        key = getattr(self.base, "aluthge_aggregate_key", None)
-        if key is None:
-            return None
-        return series.closed_form_aggregate(key, u, t=self.t)
-
-    @property
-    def family_divergent(self) -> bool:
-        """True when a closed form makes every aggregate divergent."""
-        return getattr(self.base, "aluthge_aggregate_key", None) == "omega-aluthge"
+        return self.base._aluthge_closed_form(u, self.t)
 
 
 def node_norm(w: WeightSystem, u) -> NodeNorm:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from treeshift.cli import main
+from treeshift.cli import cert_dict, main
+from treeshift.series import EventuallyIncreasing, PartialSumExceeds, TermsDoNotVanish
 
 FOUR_VERTEX = {
     "vertices": ["r", "a", "b", "c"],
@@ -187,6 +188,35 @@ class TestWitnessCommand:
         assert report["base_vertex"] == "1:1"
 
 
+class TestNumericalFailures:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["witness", "--t", "0.5", "--K", "5000"],
+            ["analyze", "{paper}", "--t", "0.001"],
+        ],
+        ids=["witness-long", "analyze-small-t"],
+    )
+    def test_exit_three_without_traceback(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "tree.json", {"family": "paper"})
+        code, report, err = run(capsys, [arg.format(paper=path) for arg in argv])
+        assert code == 3
+        assert report is None
+        assert err.startswith("numerical failure:")
+
+
+class TestNonFiniteWeights:
+    def test_nan_edge_weight_rejected(self, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        path.write_text(
+            '{"vertices": ["r", "a"], "edges": [{"parent": "r", "child": "a", "weight": NaN}]}'
+        )
+        code, report, err = run(capsys, ["analyze", str(path), "--t", "0.5"])
+        assert code == 1
+        assert report is None
+        assert "finite" in err
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 1
@@ -196,3 +226,27 @@ class TestUsage:
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
+
+
+class TestCertificateSerialization:
+    @pytest.mark.parametrize(
+        "cert, expected",
+        [
+            (
+                TermsDoNotVanish(start=3, lower_bound=1.5),
+                {"kind": "terms-do-not-vanish", "start": 3, "lower_bound": 1.5, "heuristic": False},
+            ),
+            (
+                EventuallyIncreasing(start=2, ratio=1.125),
+                {"kind": "eventually-increasing", "start": 2, "ratio": 1.125, "heuristic": False},
+            ),
+            (
+                PartialSumExceeds(threshold=1e12, crossed_at=7),
+                {"kind": "partial-sum-exceeds", "threshold": 1e12, "crossed_at": 7, "heuristic": True},
+            ),
+        ],
+    )
+    def test_exact_fields(self, cert, expected):
+        got = cert_dict(cert)
+        assert got == expected
+        assert list(got) == list(expected)

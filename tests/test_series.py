@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from treeshift.series import (
     PartialSumExceeds,
     SumPolicy,
     TermsDoNotVanish,
-    closed_form_aggregate,
     inverse_square_sum,
     sum_series,
     verify_certificate,
 )
-from treeshift.trees import OmegaVertex
+from treeshift.trees import OmegaVertex, finite_tree
+from treeshift.weights import OmegaShiftWeights, TableWeights, aluthge_weights
 
 
 def inv_squares():
@@ -69,6 +70,10 @@ class TestSumSeries:
         with pytest.raises(NonnegativityError):
             sum_series(iter([1.0, -0.5]))
 
+    def test_nan_term_rejected(self):
+        with pytest.raises(NonnegativityError):
+            sum_series([1.0, math.nan])
+
     def test_budget_without_tail_bound_is_inconclusive(self):
         verdict = sum_series(inv_squares(), SumPolicy(max_terms=100))
         assert isinstance(verdict, Inconclusive)
@@ -118,7 +123,7 @@ class TestInverseSquareConstant:
     def test_value_against_independent_sum(self):
         got = inverse_square_sum()
         assert abs(got.value - independent_zeta2()) <= 1e-12
-        assert 0 < got.error < 1e-12
+        assert 0 < got.tail_bound < 1e-12
 
     def test_cached(self):
         assert inverse_square_sum() is inverse_square_sum()
@@ -127,17 +132,17 @@ class TestInverseSquareConstant:
 class TestClosedForms:
     def test_base_aggregate_scales_with_digit_sum(self):
         inv_sq = inverse_square_sum().value
-        flat = closed_form_aggregate("omega-shift", OmegaVertex(0))
+        flat = OmegaShiftWeights().aggregate(OmegaVertex(0))
         assert flat.value == pytest.approx(inv_sq, rel=1e-15)
-        three = closed_form_aggregate("omega-shift", OmegaVertex(0, (2, 1)))
+        three = OmegaShiftWeights().aggregate(OmegaVertex(0, (2, 1)))
         assert three.value == pytest.approx(64.0 * inv_sq, rel=1e-15)
 
     def test_unregistered_family_signals_absence(self):
-        assert closed_form_aggregate("no-such-family", OmegaVertex(0)) is None
+        assert TableWeights(finite_tree([None, 0]), {1: 1.0})._closed_form(0) is None
 
     @pytest.mark.parametrize("t", [0.01, 0.25, 0.5, 0.75, 1.0])
     def test_transformed_aggregate_divergence(self, t):
-        got = closed_form_aggregate("omega-aluthge", OmegaVertex(0), t=t)
+        got = aluthge_weights(OmegaShiftWeights(), t).aggregate(OmegaVertex(0))
         cert = got.certificate
         assert cert.ratio > 1.0
         # the certified ratio bound holds for the actual term stream
@@ -148,7 +153,7 @@ class TestClosedForms:
     def test_truncations_increase_to_closed_form(self):
         # partial sums of the base aggregate are monotone below the closed form
         u = OmegaVertex(0, (1,))
-        closed = closed_form_aggregate("omega-shift", u).value
+        closed = OmegaShiftWeights().aggregate(u).value
         scale = 4.0**u.digit_sum
         partials = []
         for n_terms in (10, 100, 1000):

@@ -64,6 +64,11 @@ class TestNodeNorm:
         w = doubling_path()
         assert node_norm(w, 5).value == pytest.approx(2.0**5, rel=1e-15)
 
+    def test_nan_weight_has_no_finite_norm(self):
+        w = CallableWeights(nat_path(), lambda v: math.nan)
+        with pytest.raises(EvaluationError):
+            w.node_norm(0)
+
     def test_infinite_norm_with_claim(self):
         w = star_with_unit_weights()
         nn = node_norm(w, 0)
@@ -174,6 +179,12 @@ class TestAluthgeWeights:
             agg = aluthge_weights(w, t).aggregate(OmegaVertex(0, (2,)))
             assert isinstance(agg, Diverges)
             assert agg.certificate.ratio > 1.0
+
+    def test_omega_aggregate_refuses_t_below_float_resolution(self):
+        # 4^t rounds to exactly 1 here; that must not read as the convergent t = 0 series
+        mu = aluthge_weights(OmegaShiftWeights(), 1e-17)
+        with pytest.raises(ArithmeticError):
+            mu.aggregate(OmegaVertex(0))
 
     def test_t_equals_one_matches_norm_ratio_times_weight(self):
         w = doubling_path()
