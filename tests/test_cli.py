@@ -187,6 +187,14 @@ class TestWitnessCommand:
         assert code == 0
         assert report["base_vertex"] == "1:1"
 
+    @pytest.mark.parametrize("t, start", [("0.99", 143), ("0.999", 1442)])
+    def test_certificate_beyond_reported_terms(self, capsys, t, start):
+        # the claim starts past the default K = 60 and is checked on its own window
+        code, report, _ = run(capsys, ["witness", "--t", t])
+        assert code == 0
+        assert report["growth_certificate"]["start"] == start
+        assert len(report["partial_sums"]) == 60
+
 
 class TestNumericalFailures:
     @pytest.mark.parametrize(

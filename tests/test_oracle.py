@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from treeshift.errors import OracleError
+from treeshift import oracle
+from treeshift.errors import OracleError, SingularWeightError
 from treeshift.operators import (
     adjoint_aluthge_basis_action,
     aluthge_basis_action,
@@ -214,6 +216,97 @@ class TestFormulaEquivalence:
                 got = dense_vector(formula, dense)
                 want = transform @ _unit(dense.n, v)
                 np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+def _projection_sum_reference(w, dense, alpha):
+    """The per-vertex loop: one outer product per active vertex."""
+    out = np.zeros_like(dense.matrix)
+    for u in dense.order:
+        s = w.node_norm(u).value
+        if s == 0.0:
+            continue
+        column = dense.matrix[:, dense.index[u]]
+        out += (s ** (alpha - 2)) * np.outer(column, column.conj())
+    return out
+
+
+class TestProjectionSum:
+    @staticmethod
+    def _instances():
+        yield from random_tree_corpus(25, seed=17, complex_count=6)
+        # vertex 1 is internal with zero norm: its scale is 0, not 0 ** (alpha - 2)
+        tree = finite_tree([None, 0, 1, 1, 0, 4])
+        yield tree, TableWeights(tree, {1: 2.0, 2: 0.0, 3: 0.0, 4: 1.5, 5: 0.75j})
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_matches_per_vertex_loop(self, alpha):
+        for tree, w in self._instances():
+            dense = assemble(w, tree)
+            want = _projection_sum_reference(w, dense, alpha)
+            got = projection_sum_matrix(w, dense, alpha)
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class _NudgedNorm(TableWeights):
+    """Node norm 1.001 times too large at vertex 1."""
+
+    def node_norm(self, u):
+        nn = super().node_norm(u)
+        return replace(nn, value=nn.value * 1.001) if u == 1 else nn
+
+
+class TestOracleSeesEveryColumn:
+    TREE_PARENTS = [None, 0, 0, 1, 1, 2]
+    T_VALUES = (0.5, 1.0)
+
+    def _instance(self, cls=TableWeights):
+        tree = finite_tree(self.TREE_PARENTS)
+        return tree, cls(tree, {v: 0.5 + v for v in range(1, 6)})
+
+    def test_perturbed_adjoint_column_detected(self, monkeypatch):
+        tree, w = self._instance()
+        assert compare_with_formula(w, tree, t_values=self.T_VALUES).max_discrepancy() <= 1e-8
+        real = oracle.adjoint_aluthge_basis_action
+
+        def perturbed(weights, t, v):
+            vec = real(weights, t, v)
+            return vec.scaled(1.001) if v == 3 else vec  # two levels below the root
+
+        monkeypatch.setattr(oracle, "adjoint_aluthge_basis_action", perturbed)
+        report = compare_with_formula(w, tree, t_values=self.T_VALUES)
+        for t in self.T_VALUES:
+            assert report.adjoint_aluthge[t] > 1e-8
+
+    def test_perturbed_node_norm_detected(self):
+        tree, w = self._instance(_NudgedNorm)
+        assert w.node_norm(1).value > 0 and tree.child_count(1) > 0
+        report = compare_with_formula(w, tree, t_values=(0.5,))
+        assert report.adjoint_modulus[0.5] > 1e-8
+        assert report.adjoint_modulus[1.0] > 1e-8
+
+
+class TestSingularSkip:
+    def test_singular_vertex_skipped(self):
+        # the transformed weight at 1 vanishes while the root stays active
+        tree = finite_tree([None, 0, 0, 1])
+        w = TableWeights(tree, {1: 0, 2: 1, 3: 1})
+        t_values = (0.1, 0.5, 1.0)
+        report = compare_with_formula(w, tree, t_values=t_values)
+        assert report.skipped_singular == len(t_values)
+        assert report.max_discrepancy() <= 1e-8
+
+    def test_every_vertex_skipped_gives_zero(self, monkeypatch):
+        def singular(weights, t, v):
+            raise SingularWeightError("forced", vertex=v)
+
+        monkeypatch.setattr(oracle, "adjoint_aluthge_basis_action", singular)
+        tree = finite_tree([None, 0, 0, 1, 1, 2])
+        w = TableWeights(tree, {v: 0.5 + v for v in range(1, 6)})
+        t_values = (0.5, 1.0)
+        report = compare_with_formula(w, tree, t_values=t_values)
+        assert report.adjoint_aluthge == {0.5: 0.0, 1.0: 0.0}
+        assert report.skipped_singular == len(tree) * len(t_values)
 
 
 class TestCorpus:
