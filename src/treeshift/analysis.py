@@ -7,8 +7,9 @@ actual term streams they describe before a report endorses them.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -307,14 +308,13 @@ def nonclosability_witness(
 
     ratio_limit = 4.0 ** (1 - t)
     certificate = series.closed_form_aggregate(ratio_limit).certificate
-    start = certificate.start
-    if start + 16 < len(term_list):
-        series.verify_certificate(certificate, iter(term_list), len(term_list))
-    else:
-        # The claim's window reaches past the K reported terms (t near 1):
-        # check it on [start, start + 16] itself, re-based to index 0.
-        window = [pairing_term(k) for k in range(start, start + 17)]
-        series.verify_certificate(replace(certificate, start=0), iter(window), len(window))
+    # The claim's window may start past the K reported terms (t near 1), so
+    # check it on a lazy stream that reaches at least 16 ratios beyond start.
+    series.verify_certificate(
+        certificate,
+        map(pairing_term, itertools.count()),
+        max(len(term_list), certificate.start + 17),
+    )
 
     probes = tuple(
         format_vertex(base.child(k).child(0)) for k in range(min(4, len(term_list)))

@@ -189,7 +189,7 @@ class TestWitnessCommand:
 
     @pytest.mark.parametrize("t, start", [("0.99", 143), ("0.999", 1442)])
     def test_certificate_beyond_reported_terms(self, capsys, t, start):
-        # the claim starts past the default K = 60 and is checked on its own window
+        # the claim starts past the default K = 60; its window is checked all the same
         code, report, _ = run(capsys, ["witness", "--t", t])
         assert code == 0
         assert report["growth_certificate"]["start"] == start
