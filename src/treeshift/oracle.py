@@ -100,7 +100,7 @@ def psd_power(factors: PolarFactors, exponent: float) -> np.ndarray:
     """P^exponent from the stored factorization; P^0 is the identity."""
     if exponent == 0:
         return np.eye(factors.right.shape[0], dtype=np.complex128)
-    powered = np.where(factors.singular_values > 0.0, factors.singular_values, 0.0) ** exponent
+    powered = factors.singular_values ** exponent
     return (factors.right * powered) @ factors.right.conj().T
 
 
@@ -108,7 +108,7 @@ def left_psd_power(factors: PolarFactors, exponent: float) -> np.ndarray:
     """(T T*)^(exponent/2) i.e. |T*|^exponent, from the left singular vectors."""
     if exponent == 0:
         return np.eye(factors.left.shape[0], dtype=np.complex128)
-    powered = np.where(factors.singular_values > 0.0, factors.singular_values, 0.0) ** exponent
+    powered = factors.singular_values ** exponent
     return (factors.left * powered) @ factors.left.conj().T
 
 
@@ -116,7 +116,11 @@ def matrix_aluthge(matrix: np.ndarray, t: float, rank_tol: float = DEFAULT_RANK_
     """P^t U P^(1-t) for the polar factors of the matrix; t in (0, 1]."""
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
-    factors = polar(matrix, rank_tol)
+    return _transform(polar(matrix, rank_tol), t)
+
+
+def _transform(factors: PolarFactors, t: float) -> np.ndarray:
+    """P^t U P^(1-t) from the stored polar factors."""
     return psd_power(factors, t) @ factors.u_factor @ psd_power(factors, 1 - t)
 
 
@@ -222,7 +226,7 @@ def compare_with_formula(
     report.polar_factor = _max_abs(factors.u_factor - pi_matrix)
 
     for t in t_values:
-        direct = psd_power(factors, t) @ factors.u_factor @ psd_power(factors, 1 - t)
+        direct = _transform(factors, t)
         mu_matrix = assemble(aluthge_weights(w, t), tree).matrix
         report.aluthge[t] = _max_abs(direct - mu_matrix)
 
@@ -233,11 +237,7 @@ def compare_with_formula(
 
     adjoint_factors = polar(dense.matrix.conj().T, rank_tol)
     for t in t_values:
-        adjoint_transform = (
-            psd_power(adjoint_factors, t)
-            @ adjoint_factors.u_factor
-            @ psd_power(adjoint_factors, 1 - t)
-        )
+        adjoint_transform = _transform(adjoint_factors, t)
         formula = np.zeros_like(adjoint_transform)
         skipped = []
         for v in dense.order:

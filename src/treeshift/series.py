@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
-import numpy as np
-
 from .errors import CertificateError, NonnegativityError
 
 __all__ = [
@@ -100,8 +98,9 @@ class SumPolicy:
 
     ``tail_bound`` maps the number of evaluated terms to a bound dominating
     the true tail; convergence is only certified when it is present or the
-    stream ends.  ``verify_terms`` caps how many terms are consumed when a
-    claimed certificate is being checked.
+    stream ends.  ``verify_terms`` is how many terms a claimed certificate is
+    checked on; ``verify_certificate`` widens it to reach past the claim's
+    start.
     """
 
     max_terms: int = 100_000
@@ -116,11 +115,15 @@ DEFAULT_POLICY = SumPolicy()
 def verify_certificate(certificate: DivergenceCertificate, terms: Iterable[float], count: int) -> None:
     """Check a divergence claim against up to ``count`` actual terms.
 
-    Raises :class:`CertificateError` on any contradiction.  Passing proves
-    nothing beyond the sampled window; the analytic validity of the claim is
-    the caller's responsibility.
+    A claim with a start index is checked on at least the terms up to
+    ``start + 16``, so the window always holds 16 terms (or ratios) past the
+    start.  Raises :class:`CertificateError` on any contradiction.  Passing
+    proves nothing beyond the sampled window; the analytic validity of the
+    claim is the caller's responsibility.
     """
     it = iter(terms)
+    if isinstance(certificate, (TermsDoNotVanish, EventuallyIncreasing)):
+        count = max(count, certificate.start + 17)
     if isinstance(certificate, TermsDoNotVanish):
         if certificate.lower_bound <= 0:
             raise CertificateError("lower bound must be positive")
@@ -184,8 +187,7 @@ def sum_series(
     divergence threshold yields the heuristic partial-sum certificate.
     """
     if certificate is not None:
-        checked = max(policy.verify_terms, _cert_start(certificate) + 16)
-        verify_certificate(certificate, _nonneg(terms), checked)
+        verify_certificate(certificate, _nonneg(terms), policy.verify_terms)
         return Diverges(certificate)
 
     total = 0.0
@@ -213,31 +215,23 @@ def _nonneg(terms: Iterable[float]):
         yield term
 
 
-def _cert_start(certificate: DivergenceCertificate) -> int:
-    if isinstance(certificate, (TermsDoNotVanish, EventuallyIncreasing)):
-        return certificate.start
-    return certificate.crossed_at
-
-
-_INV_SQUARE: Optional[Converges] = None
 _INV_SQUARE_TERMS = 10_000_000
+
+_INV_SQUARE = Converges(
+    float.fromhex("0x1.a51a6625307d0p+0"),
+    1.0 / (6.0 * (_INV_SQUARE_TERMS + 1.0) ** 3) + 64 * math.ulp(1.0),
+)
 
 
 def inverse_square_sum() -> Converges:
-    """Sum of 1/n^2 over n >= 1, by direct summation.
+    """Sum of 1/n^2 over n >= 1, as a pinned double with its tail bound.
 
-    Partial sum to 1e7 terms plus the midpoint tail correction 1/(N + 1/2);
-    the tail bound covers both the correction defect and the float rounding
-    of the pairwise sum.  Computed once and cached.
+    The value is the double that pairwise float64 summation of 1/n^2 over
+    n <= N = 1e7 gives, plus the midpoint tail correction 1/(N + 1/2);
+    ``tests/test_series.py`` recomputes it that way and checks it against
+    zeta(2).  The tail bound covers both the correction defect and the float
+    rounding of the pairwise sum.
     """
-    global _INV_SQUARE
-    if _INV_SQUARE is None:
-        n = _INV_SQUARE_TERMS
-        ns = np.arange(n, 0, -1, dtype=np.float64)
-        partial = float(np.sum(1.0 / (ns * ns)))
-        value = partial + 1.0 / (n + 0.5)
-        error = 1.0 / (6.0 * (n + 1.0) ** 3) + 64 * np.finfo(np.float64).eps
-        _INV_SQUARE = Converges(value, error)
     return _INV_SQUARE
 
 

@@ -81,7 +81,7 @@ class OmegaVertex:
     def child(self, digit: int) -> "OmegaVertex":
         if digit < 0:
             raise StructureError("child digit must be nonnegative")
-        return self.make(self.level + 1, self.digits + (digit,))
+        return OmegaVertex(self.level + 1, self.digits + (digit,) if self.digits or digit else ())
 
     def sort_key(self):
         return (self.level, len(self.digits), self.digits)

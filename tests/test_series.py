@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -99,6 +100,32 @@ class TestSumSeries:
             sum_series(iter([1.0, 1.0]), certificate=TermsDoNotVanish(start=5, lower_bound=1.0))
 
 
+class TestCertificateWindow:
+    # Every claim with a start index is checked on 16 terms past its start,
+    # whatever count the caller passes.
+    @staticmethod
+    def growth_then_drop(drop_at):
+        for n in itertools.count():
+            yield 1.0 if n >= drop_at else 1.5**n
+
+    def test_sum_series_sees_sixteenth_ratio(self):
+        with pytest.raises(CertificateError, match="drops below"):
+            sum_series(self.growth_then_drop(316), certificate=EventuallyIncreasing(300, 1.5))
+
+    def test_drop_past_window_accepted(self):
+        verdict = sum_series(self.growth_then_drop(317), certificate=EventuallyIncreasing(300, 1.5))
+        assert isinstance(verdict, Diverges)
+
+    def test_short_count_widened_for_terms_do_not_vanish(self):
+        terms = itertools.chain(itertools.repeat(1.0, 26), itertools.repeat(0.5))
+        with pytest.raises(CertificateError, match="below claimed bound"):
+            verify_certificate(TermsDoNotVanish(10, 1.0), terms, 12)
+
+    def test_short_count_widened_for_eventually_increasing(self):
+        with pytest.raises(CertificateError, match="drops below"):
+            verify_certificate(EventuallyIncreasing(10, 1.5), self.growth_then_drop(26), 12)
+
+
 class TestCertificates:
     def test_self_verifying_eventual_ratio(self):
         terms = [2.0**n / (n + 1) ** 2 for n in range(64)]
@@ -120,6 +147,27 @@ class TestCertificates:
 
 
 class TestInverseSquareConstant:
+    N = 10_000_000
+
+    def test_value_is_the_pairwise_sum(self):
+        # The whole-array computation the pinned double was taken from, done
+        # in place (the same elementwise roundings) to hold one array.
+        terms = np.arange(self.N, 0, -1, dtype=np.float64)
+        np.multiply(terms, terms, out=terms)
+        np.divide(1.0, terms, out=terms)
+        reference = float(np.sum(terms)) + 1.0 / (self.N + 0.5)
+        assert inverse_square_sum().value.hex() == reference.hex()
+
+    def test_tail_bound_expression(self):
+        expected = 1.0 / (6.0 * (self.N + 1.0) ** 3) + 64 * np.finfo(np.float64).eps
+        assert inverse_square_sum().tail_bound == expected
+        assert type(inverse_square_sum().tail_bound) is float
+
+    def test_within_tail_bound_of_zeta2(self):
+        got = inverse_square_sum()
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(got.value) - mpmath.zeta(2)) <= got.tail_bound
+
     def test_value_against_independent_sum(self):
         got = inverse_square_sum()
         assert abs(got.value - independent_zeta2()) <= 1e-12

@@ -58,6 +58,22 @@ class TestOmegaVertex:
         assert again == v
         assert not v.digits or v.digits[0] != 0
 
+    @given(
+        level=st.integers(-50, 50),
+        digits=st.lists(st.integers(0, 30), max_size=6),
+        digit=st.integers(0, 30),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_child_matches_make(self, level, digits, digit):
+        v = OmegaVertex.make(level, digits)
+        child = v.child(digit)
+        assert child == OmegaVertex.make(level + 1, list(v.digits) + [digit])
+        assert not child.digits or child.digits[0] != 0
+
+    def test_negative_child_digit_rejected(self):
+        with pytest.raises(StructureError):
+            OmegaVertex(0).child(-1)
+
 
 class TestOmegaTree:
     def test_parent_drops_last_entry(self):
