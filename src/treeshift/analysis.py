@@ -217,8 +217,7 @@ def certify_trivial_aluthge_domain(
         if cert.heuristic:
             heuristic = True
         else:
-            stream = (abs(mu.weight(v)) ** 2 for v in w.tree.children(u))
-            series.verify_certificate(cert, stream, _CERT_VERIFY_TERMS)
+            series.verify_certificate(cert, mu.child_terms(u), _CERT_VERIFY_TERMS)
         per_vertex[format_vertex(u)] = cert
 
     if family_cert is not None:

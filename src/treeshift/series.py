@@ -235,6 +235,9 @@ def inverse_square_sum() -> Converges:
     return _INV_SQUARE
 
 
+_MAX_START = 10**7
+
+
 def closed_form_aggregate(growth: float, scale: float = 1.0) -> SeriesVerdict:
     """Verdict for the sum over n >= 0 of scale * growth^n / (n + 1)^2.
 
@@ -247,9 +250,18 @@ def closed_form_aggregate(growth: float, scale: float = 1.0) -> SeriesVerdict:
         return Converges(scale * inv_sq.value, scale * inv_sq.tail_bound)
     if not growth > 1.0:
         raise ValueError(f"no closed form for growth {growth} below 1")
-    n = 0
-    while growth * ((n + 1) / (n + 2)) ** 2 <= 1.0:
+
+    def ratio(n: int) -> float:
+        return growth * ((n + 1) / (n + 2)) ** 2
+
+    # The rounded ratio never decreases in n, so the start is the first n
+    # with ratio(n) > 1.  It lies near 1/(sqrt(growth) - 1) - 1; step from
+    # there.  Checking the last admissible index first keeps the guess finite.
+    if not ratio(_MAX_START) > 1.0:
+        raise ArithmeticError("no increasing index found; growth too close to 1")
+    n = min(max(int(1.0 / (math.sqrt(growth) - 1.0)) - 1, 0), _MAX_START)
+    while n > 0 and ratio(n - 1) > 1.0:
+        n -= 1
+    while not ratio(n) > 1.0:
         n += 1
-        if n > 10**7:
-            raise ArithmeticError("no increasing index found; growth too close to 1")
-    return Diverges(EventuallyIncreasing(n, growth * ((n + 1) / (n + 2)) ** 2))
+    return Diverges(EventuallyIncreasing(n, ratio(n)))

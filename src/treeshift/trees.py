@@ -243,7 +243,8 @@ class OmegaTree(DirectedTree):
 
     def parent(self, v):
         self.require_vertex(v)
-        return OmegaVertex.make(v.level - 1, v.digits[:-1])
+        # a prefix of a canonical word is canonical, so no trimming is needed
+        return OmegaVertex(v.level - 1, v.digits[:-1])
 
     def children(self, u):
         self.require_vertex(u)
@@ -290,13 +291,9 @@ class DescendantSubtree(DirectedTree):
         if not self.base.contains(v):
             return False
         if isinstance(v, OmegaVertex) and isinstance(self.apex, OmegaVertex):
+            # the ancestor ``depth`` levels up drops the last ``depth`` digits
             depth = v.level - self.apex.level
-            if depth < 0:
-                return False
-            w = v
-            for _ in range(depth):
-                w = self.base.parent(w)
-            return w == self.apex
+            return depth >= 0 and v.digits[: max(len(v.digits) - depth, 0)] == self.apex.digits
         if isinstance(v, int) and isinstance(self.apex, int):
             # Path-shaped integer families grow upward only.
             if isinstance(self.base, (NatPath, IntPath)):

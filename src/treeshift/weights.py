@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from . import series
 from .errors import EvaluationError, StructureError
@@ -122,12 +122,16 @@ class WeightSystem:
         if closed is not None:
             return closed
         if self.tree.child_count(u) is not None:
-            total = math.fsum(abs(self.weight(v)) ** 2 for v in self.tree.children(u))
+            total = math.fsum(self.child_terms(u))
             if not math.isfinite(total):
                 raise EvaluationError(f"squared-weight sum at {u!r} is {total}", vertex=u)
             return series.Converges(total, 0.0)
-        stream = (abs(self.weight(v)) ** 2 for v in self.tree.children(u))
+        stream = self.child_terms(u)
         return series.sum_series(stream, self.policy, certificate=self._divergence_claim(u))
+
+    def child_terms(self, u) -> Iterator[float]:
+        """Squared weights of the children of ``u``, in enumeration order."""
+        return (abs(self.weight(v)) ** 2 for v in self.tree.children(u))
 
     def node_norm(self, u) -> NodeNorm:
         return _norm_from_verdict(self.aggregate(u))
@@ -299,11 +303,22 @@ class AluthgeWeights(WeightSystem):
 
     def weight(self, v) -> complex:
         self._require_non_root(v)
-        parent_norm = self.base.finite_norm(self.tree.parent(v), vertex=v)
+        return self._scaled(v, self.base.finite_norm(self.tree.parent(v), vertex=v).value)
+
+    def child_terms(self, u):
+        # The parent norm is the same for every child: take it once, on the
+        # first child, so an infinite one still names that child.
+        parent_norm = None
+        for v in self.tree.children(u):
+            if parent_norm is None:
+                parent_norm = self.base.finite_norm(u, vertex=v).value
+            yield abs(self._scaled(v, parent_norm)) ** 2
+
+    def _scaled(self, v, parent_norm: float) -> complex:
         child_norm = self.base.finite_norm(v)
-        if parent_norm.value == 0.0:
+        if parent_norm == 0.0:
             return 0j
-        return (child_norm.value / parent_norm.value) ** self.t * complex(self.base.weight(v))
+        return (child_norm.value / parent_norm) ** self.t * complex(self.base.weight(v))
 
     def _closed_form(self, u):
         return self.base._aluthge_closed_form(u, self.t)

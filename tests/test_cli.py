@@ -212,6 +212,13 @@ class TestNumericalFailures:
         assert report is None
         assert err.startswith("numerical failure:")
 
+    def test_witness_growth_too_close_to_one(self, capsys):
+        # 4^(1-t) is so close to 1 that the certificate would start past 10**7
+        code, report, err = run(capsys, ["witness", "--t", "0.9999999999"])
+        assert code == 3
+        assert report is None
+        assert err == "numerical failure: no increasing index found; growth too close to 1\n"
+
 
 class TestNonFiniteWeights:
     def test_nan_edge_weight_rejected(self, tmp_path, capsys):

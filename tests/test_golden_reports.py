@@ -28,6 +28,16 @@ GOLDEN = [
     (["aluthge-weights", "@paper", "--t", "0.5"], "12c03ccbae7f747d83a7c2ca4a1b16e5766b5ec4ce357a8afeae5586bec3efb5"),
     (["witness", "--t", "0.5", "--K", "40"], "f280638122d46f6c17c8ef8fe49f1ee650f6192298bc4db5a24ff19c59c36e68"),
     (["witness", "--t", "0.999"], "0fa0172f58b683a630a0387bc3287e891422860df2441a3fde70dd0fa990e7d3"),
+    (["analyze", "@descendant", "--t", "0.02"], "01e93f474df1acc6def80737f6054d2d689916f3d46097e6f488d25e9e98f64c"),
+    (
+        ["analyze", "@paper", "--t", "0.1", "--depth", "2", "--digits", "3"],
+        "1a614bf88b865d5246845478d684d817686fa5e17517542a891aad43620f8b2b",
+    ),
+    (
+        ["analyze", "@descendant", "--t", "1.0", "--depth", "3", "--digits", "2"],
+        "6691bff8f159644fceeaea9092005fc46a9bf751e125747cd23405d34777ae5e",
+    ),
+    (["aluthge-weights", "@descendant", "--t", "0.5"], "f5f3401f101e2c3223776e636a9aed3d90e5f3368380ae04b177c5853bff03f7"),
 ]
 
 

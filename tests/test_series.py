@@ -14,6 +14,7 @@ from treeshift.series import (
     PartialSumExceeds,
     SumPolicy,
     TermsDoNotVanish,
+    closed_form_aggregate,
     inverse_square_sum,
     sum_series,
     verify_certificate,
@@ -39,8 +40,22 @@ def doubling_over_squares():
 def independent_zeta2(extra_terms=20_000_000):
     # Independent oracle: longer partial sum, summed small-to-large, plus the
     # midpoint tail correction.
+    # In place, so the call holds one array rather than three.
     ns = np.arange(extra_terms, 0, -1, dtype=np.float64)
-    return float(np.sum(1.0 / (ns * ns))) + 1.0 / (extra_terms + 0.5)
+    np.multiply(ns, ns, out=ns)
+    np.divide(1.0, ns, out=ns)
+    return float(np.sum(ns)) + 1.0 / (extra_terms + 0.5)
+
+
+def linear_search_start(growth):
+    # The O(start) search closed_form_aggregate used to run; the reference
+    # for its O(1) start.
+    n = 0
+    while growth * ((n + 1) / (n + 2)) ** 2 <= 1.0:
+        n += 1
+        if n > 10**7:
+            raise ArithmeticError("no increasing index found; growth too close to 1")
+    return n
 
 
 class TestSumSeries:
@@ -197,6 +212,50 @@ class TestClosedForms:
         terms = [4.0 ** (t * n) / (n + 1) ** 2 for n in range(cert.start, cert.start + 40)]
         for a, b in zip(terms, terms[1:]):
             assert b >= a * cert.ratio * (1 - 1e-12)
+
+    def test_start_matches_linear_search(self):
+        growths = [4.0**t for t in np.logspace(-4, 0, 300)]
+        # growths where 1/(sqrt(g) - 1) lands on an integer, and their
+        # neighbouring doubles, are where a rounded guess is off by one
+        for m in range(0, 2000, 11):
+            g = ((m + 2) / (m + 1)) ** 2
+            for _ in range(3):
+                g = math.nextafter(g, 0.0)
+            for _ in range(7):
+                growths.append(g)
+                g = math.nextafter(g, math.inf)
+        growths += [1.5, 2.0, 4.0, 1e3, 1e300, math.inf]
+        for g in growths:
+            start = linear_search_start(g)
+            cert = closed_form_aggregate(g).certificate
+            assert cert.start == start, g
+            assert cert.ratio == g * ((start + 1) / (start + 2)) ** 2
+
+    def test_start_at_the_index_limit(self):
+        # The first growths whose start is 10**7 and 10**7 + 1: the first is
+        # reported, the second is refused, as by the linear search.
+        def rises(g, n):
+            return g * ((n + 1) / (n + 2)) ** 2 > 1.0
+
+        limit = 10**7
+        g = ((limit + 2) / (limit + 1)) ** 2
+        while rises(g, limit):
+            g = math.nextafter(g, 0.0)
+        while not rises(g, limit + 1):
+            g = math.nextafter(g, math.inf)
+        with pytest.raises(ArithmeticError, match="no increasing index"):
+            closed_form_aggregate(g)
+        while not rises(g, limit):
+            g = math.nextafter(g, math.inf)
+        assert not rises(g, limit - 1)
+        assert closed_form_aggregate(g).certificate.start == limit
+
+    @pytest.mark.parametrize("t", [1e-5, 1e-6, 2e-7])
+    def test_start_is_first_rising_index(self, t):
+        growth = 4.0**t
+        start = closed_form_aggregate(growth).certificate.start
+        assert growth * ((start + 1) / (start + 2)) ** 2 > 1.0
+        assert not growth * (start / (start + 1)) ** 2 > 1.0
 
     def test_truncations_increase_to_closed_form(self):
         # partial sums of the base aggregate are monotone below the closed form

@@ -99,6 +99,12 @@ class TestOmegaTree:
     def test_rootless(self):
         assert omega_tree().root is None
 
+    @given(level=st.integers(-50, 50), digits=st.lists(st.integers(0, 30), max_size=6))
+    @settings(max_examples=500, deadline=None)
+    def test_parent_matches_make(self, level, digits):
+        v = OmegaVertex.make(level, digits)
+        assert omega_tree().parent(v) == OmegaVertex.make(v.level - 1, v.digits[:-1])
+
     def test_child_streams_are_independent(self):
         tree = omega_tree()
         s1 = tree.children(OmegaVertex(0))
@@ -178,6 +184,29 @@ class TestDescendantSubtree:
         assert sub.contains(apex.child(4))
         assert not sub.contains(OmegaVertex(1, (2, 0)))
         assert not sub.contains(OmegaVertex(-1))
+
+    @given(
+        apex_level=st.integers(-20, 20),
+        apex_digits=st.lists(st.integers(0, 4), max_size=4),
+        descend=st.booleans(),
+        level=st.integers(-25, 25),
+        digits=st.lists(st.integers(0, 4), max_size=8),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_membership_matches_parent_walk(self, apex_level, apex_digits, descend, level, digits):
+        # apex_digits may be all zero, giving the all-zero apex ``()``
+        apex = OmegaVertex.make(apex_level, apex_digits)
+        if descend:
+            v = apex
+            for d in digits:
+                v = v.child(d)
+        else:
+            v = OmegaVertex.make(level, digits)
+        w, depth = v, v.level - apex.level
+        for _ in range(max(depth, 0)):
+            w = OmegaVertex.make(w.level - 1, w.digits[:-1])
+        expected = depth >= 0 and w == apex
+        assert descendant_subtree(omega_tree(), apex).contains(v) == expected
 
     def test_unknown_apex_rejected(self):
         with pytest.raises(StructureError):

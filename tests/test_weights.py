@@ -238,3 +238,48 @@ class TestTableWeights:
         tree = finite_tree([None, 0])
         w = TableWeights(tree, {1: 1 + 2j})
         assert node_norm(w, 0).value == pytest.approx(math.sqrt(5.0), rel=1e-15)
+
+
+def weight_by_weight(mu, u, count):
+    return [abs(mu.weight(v)) ** 2 for v in itertools.islice(mu.tree.children(u), count)]
+
+
+class TestChildTerms:
+    """``child_terms`` equals the squared weights taken one ``weight`` call at a time."""
+
+    @pytest.mark.parametrize("t", [1.0, 0.5, 0.02])
+    @pytest.mark.parametrize(
+        "tree, vertices",
+        [
+            (omega_tree(), [OmegaVertex(0), OmegaVertex(-3), OmegaVertex(2, (3, 0, 1))]),
+            (
+                descendant_subtree(omega_tree(), OmegaVertex(0, (2,))),
+                [OmegaVertex(0, (2,)), OmegaVertex(2, (2, 0, 5))],
+            ),
+        ],
+        ids=["omega", "descendant"],
+    )
+    def test_omega_family_bit_equal(self, t, tree, vertices):
+        mu = aluthge_weights(OmegaShiftWeights(tree), t)
+        for u in vertices:
+            got = list(itertools.islice(mu.child_terms(u), 64))
+            assert got == weight_by_weight(mu, u, 64)
+
+    def test_finite_tree_with_zero_norm_vertex(self):
+        # vertex 1 has norm 0 (both child weights vanish); 2, 3 and 5 are leaves
+        tree = finite_tree([None, 0, 1, 1, 0, 4])
+        w = TableWeights(tree, {1: 1.5, 2: 0.0, 3: 0.0, 4: 0.5 - 2j, 5: 3.0})
+        for t in (1.0, 0.5, 0.02):
+            mu = aluthge_weights(w, t)
+            for u in tree.vertices():
+                assert list(mu.child_terms(u)) == weight_by_weight(mu, u, 64)
+            assert list(w.child_terms(0)) == [abs(w.weight(v)) ** 2 for v in (1, 4)]
+
+    def test_infinite_parent_norm_names_first_child(self):
+        mu = aluthge_weights(star_with_unit_weights(), 0.5)
+        with pytest.raises(EvaluationError) as by_weight:
+            mu.weight(1)
+        with pytest.raises(EvaluationError) as by_stream:
+            next(mu.child_terms(0))
+        assert by_stream.value.vertex == by_weight.value.vertex == 1
+        assert str(by_stream.value) == str(by_weight.value)
