@@ -1,4 +1,5 @@
-"""Byte-for-byte pins on CLI reports of the built-in family.
+"""Byte-for-byte pins on CLI reports: the built-in family, a geometric
+``nat_path``, a constant ``int_path`` and the README's explicit tree.
 
 Each digest is the SHA-256 of stdout, NUL, stderr, NUL, exit code of an
 in-process ``cli.main`` run.  A change that moves any printed digit, such as
@@ -18,6 +19,16 @@ from treeshift.cli import main
 SPECS = {
     "paper": {"family": "paper"},
     "descendant": {"family": "descendant", "apex": {"level": 0, "digits": [2]}},
+    "nat_geometric": {"family": "nat_path", "weights": {"kind": "geometric", "base": 1.3, "scale": 0.75}},
+    "int_constant": {"family": "int_path", "weights": {"kind": "constant", "value": 2.0}},
+    "explicit": {
+        "vertices": ["r", "a", "b", "c"],
+        "edges": [
+            {"parent": "r", "child": "a", "weight": 1.0},
+            {"parent": "r", "child": "b", "weight": [0.5, 0.5]},
+            {"parent": "a", "child": "c", "weight": 2.0},
+        ],
+    },
 }
 
 GOLDEN = [
@@ -38,6 +49,13 @@ GOLDEN = [
         "6691bff8f159644fceeaea9092005fc46a9bf751e125747cd23405d34777ae5e",
     ),
     (["aluthge-weights", "@descendant", "--t", "0.5"], "f5f3401f101e2c3223776e636a9aed3d90e5f3368380ae04b177c5853bff03f7"),
+    # per-vertex margins, PolarWeights and AluthgeWeights off the built-in family
+    (["analyze", "@nat_geometric", "--t", "0.5"], "48f72dec82c9206db7d9867b45c111a7b19711393f21874a98b0dd7b0a910e6e"),
+    (["aluthge-weights", "@nat_geometric", "--t", "0.5"], "7858bed25b24afa0cc03ac03d1f93b855ab42b5d9533a4b3323fc23c85746c02"),
+    (["analyze", "@int_constant", "--t", "0.5"], "4a311becfd13bb14d4444cd5de9a87445836bcf083200a7430fc23f2d1cf7cf9"),
+    (["aluthge-weights", "@int_constant", "--t", "0.5"], "2fd75d40596d2e695bc0b9944676ab2e15fb8bd73d9be8c2c1a916cda4b0b234"),
+    (["analyze", "@explicit", "--t", "0.5"], "b1ce4cb0be3325e7a68337206d00c14081e20f3d7145715dba45a53858eb6e3d"),
+    (["aluthge-weights", "@explicit", "--t", "0.5"], "9be03c34831876341b1ff11328c9a4b3012bc5a50dc27fd75b60c779b26b26d0"),
 ]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treeshift.errors import (
+    EvaluationError,
     MixedBasisError,
     OutOfDomainError,
     SingularWeightError,
@@ -27,8 +28,8 @@ from treeshift.operators import (
     truncate,
     zero_vector,
 )
-from treeshift.series import inverse_square_sum
-from treeshift.trees import OmegaVertex, finite_tree, nat_path
+from treeshift.series import SumPolicy, inverse_square_sum
+from treeshift.trees import LazyTree, OmegaVertex, finite_tree, nat_path
 from treeshift.weights import (
     CallableWeights,
     OmegaShiftWeights,
@@ -400,3 +401,61 @@ class TestTruncate:
             previous_tail, previous_shift = tail, shift_tail
         assert truncate(profile, n).e == f.e
         assert (f - truncate(profile, n)).is_zero
+
+
+class TestUndeterminedNodeNorm:
+    @pytest.fixture
+    def w(self):
+        # the root's children 1, 2, ... weigh 1/v; 100 terms with no tail
+        # bound leave the root's aggregate inconclusive
+        import itertools
+
+        tree = LazyTree(
+            root=0,
+            parent_fn=lambda v: None if v == 0 else 0,
+            children_fn=lambda u: itertools.count(1) if u == 0 else (),
+            child_count_fn=lambda u: None if u == 0 else 0,
+            contains_fn=lambda v: isinstance(v, int) and v >= 0,
+        )
+        return CallableWeights(tree, lambda v: 1.0 / v, policy=SumPolicy(max_terms=100))
+
+    def test_shift_domain_unknown(self, w):
+        verdict = domain_check(w, basis_vector(0), "shift")
+        assert verdict == DomainVerdict(status="unknown", condition="node-norm", vertex=0)
+
+    def test_modulus_power_keeps_finite_evidence(self, w):
+        f = basis_vector(0) + basis_vector(1)
+        verdict = domain_check(w, f, "modulus_power", alpha=1.0)
+        assert verdict.status == "unknown"
+        assert verdict.condition == "node-norm"
+        assert verdict.vertex == 0
+        assert verdict.evidence == ((1, "node-norm-finite"),)
+
+    def test_leaf_in_transform_domain(self, w):
+        verdict = domain_check(w, basis_vector(1), "aluthge", t=0.5)
+        assert verdict.is_in
+        assert verdict.evidence == ((1, "aluthge-aggregate-finite"), (1, "node-norm-finite"))
+
+    def test_transform_action_at_root_raises(self, w):
+        with pytest.raises(EvaluationError):
+            aluthge_basis_action(w, 0.5, 0)
+
+    def test_last_unknown_vertex_is_reported(self):
+        # 0 has the children 1 and 2; each of them has the children (u, 1), (u, 2), ...
+        import itertools
+
+        tree = LazyTree(
+            root=0,
+            parent_fn=lambda v: None if v == 0 else (0 if v in (1, 2) else v[0]),
+            children_fn=lambda u: (
+                [1, 2] if u == 0 else (((u, k) for k in itertools.count(1)) if u in (1, 2) else ())
+            ),
+            child_count_fn=lambda u: 2 if u == 0 else (None if u in (1, 2) else 0),
+        )
+        w = CallableWeights(
+            tree, lambda v: 1.0 if v in (1, 2) else 1.0 / v[1], policy=SumPolicy(max_terms=100)
+        )
+        verdict = domain_check(w, basis_vector(0) + basis_vector(1) + basis_vector(2), "shift")
+        assert verdict == DomainVerdict(
+            status="unknown", condition="node-norm", vertex=2, evidence=((0, "node-norm-finite"),)
+        )

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from treeshift.analysis import check_densely_defined, check_hyponormal
 from treeshift.errors import EvaluationError, StructureError
-from treeshift.series import Converges, Diverges, TermsDoNotVanish, inverse_square_sum
+from treeshift.series import Converges, Diverges, SumPolicy, TermsDoNotVanish, inverse_square_sum
 from treeshift.trees import (
     LazyTree,
     OmegaVertex,
@@ -41,6 +42,19 @@ def star_with_unit_weights():
     )
     claims = lambda u: TermsDoNotVanish(start=0, lower_bound=1.0) if u == 0 else None
     return CallableWeights(tree, lambda v: 1.0, divergence_claims=claims)
+
+
+def undetermined_star():
+    # the root's children 1, 2, ... weigh 1/v; 100 terms with no tail bound
+    # leave the aggregate at the root inconclusive
+    tree = LazyTree(
+        root=0,
+        parent_fn=lambda v: None if v == 0 else 0,
+        children_fn=lambda u: itertools.count(1) if u == 0 else (),
+        child_count_fn=lambda u: None if u == 0 else 0,
+        contains_fn=lambda v: isinstance(v, int) and v >= 0,
+    )
+    return CallableWeights(tree, lambda v: 1.0 / v, policy=SumPolicy(max_terms=100))
 
 
 class TestNodeNorm:
@@ -283,3 +297,31 @@ class TestChildTerms:
             next(mu.child_terms(0))
         assert by_stream.value.vertex == by_weight.value.vertex == 1
         assert str(by_stream.value) == str(by_weight.value)
+
+
+class TestUndeterminedNorm:
+    def test_finite_norm_names_the_vertex(self):
+        w = undetermined_star()
+        with pytest.raises(EvaluationError, match="node norm at 0 is undetermined") as err:
+            w.finite_norm(0)
+        assert err.value.vertex == 0
+
+    def test_density_inconclusive(self):
+        report = check_densely_defined(undetermined_star(), sample=[0, 1, 2])
+        assert report.status == "inconclusive"
+        assert report.checked == (0, 1, 2)
+
+    def test_hyponormality_unknown_at_undetermined_child(self):
+        # vertex 0 has the single child 1, whose children 2, 3, ... weigh 1/v
+        tree = LazyTree(
+            root=0,
+            parent_fn=lambda v: None if v == 0 else (0 if v == 1 else 1),
+            children_fn=lambda u: [1] if u == 0 else (itertools.count(2) if u == 1 else ()),
+            child_count_fn=lambda u: 1 if u == 0 else (None if u == 1 else 0),
+            contains_fn=lambda v: isinstance(v, int) and v >= 0,
+        )
+        w = CallableWeights(tree, lambda v: 1.0 / v, policy=SumPolicy(max_terms=100))
+        report = check_hyponormal(w, sample=[0])
+        assert report.verdict == "unknown"
+        assert "child norm undetermined" in report.notes
+        assert report.margins == {}
