@@ -69,7 +69,7 @@ def _family_spec(doc: dict):
         apex_doc = doc.get("apex", {"level": 0, "digits": []})
         try:
             apex = OmegaVertex.make(apex_doc["level"], apex_doc.get("digits", []))
-        except (KeyError, TypeError, TreeShiftError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, TreeShiftError) as exc:
             raise ParseError(f"bad 'apex' field: {exc}") from exc
         tree = descendant_subtree(omega_tree(), apex)
         return tree, OmegaShiftWeights(tree), {"doc": doc}
@@ -81,14 +81,19 @@ def _family_spec(doc: dict):
 
 
 def _path_weight_fn(spec: dict):
+    if not isinstance(spec, dict):
+        raise ParseError(f"'weights' must be an object, got {spec!r}")
     kind = spec.get("kind")
-    if kind == "constant":
-        value = complex(spec.get("value", 1.0))
-        return lambda v: value
-    if kind == "geometric":
-        base = float(spec.get("base", 2.0))
-        scale = complex(spec.get("scale", 1.0))
-        return lambda v: scale * base**v
+    try:
+        if kind == "constant":
+            value = complex(spec.get("value", 1.0))
+            return lambda v: value
+        if kind == "geometric":
+            base = float(spec.get("base", 2.0))
+            scale = complex(spec.get("scale", 1.0))
+            return lambda v: scale * base**v
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad 'weights' field: {exc}") from exc
     raise ParseError(f"unknown path weight kind {kind!r} (use 'constant' or 'geometric')")
 
 
@@ -105,6 +110,8 @@ def _explicit_spec(doc: dict):
     parents: list = [None] * len(names)
     table: dict = {}
     for pos, edge in enumerate(edges):
+        if not isinstance(edge, dict):
+            raise ParseError(f"edge #{pos}: must be an object with 'parent', 'child' and 'weight'")
         try:
             parent = index[str(edge["parent"])]
             child = index[str(edge["child"])]
@@ -124,15 +131,16 @@ def _explicit_spec(doc: dict):
 
 
 def _parse_weight(value) -> complex:
-    if isinstance(value, (int, float)):
-        weight = complex(value)
-    elif isinstance(value, list) and len(value) == 2:
-        weight = complex(float(value[0]), float(value[1]))
-    else:
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if not all(isinstance(x, (int, float)) for x in parts):
         raise ParseError(f"weight must be a number or an [re, im] pair, got {value!r}")
-    if not cmath.isfinite(weight):
-        raise ParseError(f"weight must be finite, got {value!r}")
-    return weight
+    try:
+        weight = complex(float(parts[0]), float(parts[1]))
+        if cmath.isfinite(weight):
+            return weight
+    except OverflowError:  # an integer beyond the double range
+        pass
+    raise ParseError(f"weight must be finite, got {value!r}")
 
 
 def _vertex_label(meta: dict, v) -> str:

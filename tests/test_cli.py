@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treeshift.cli import cert_dict, main
+from treeshift.cli import ParseError, cert_dict, load_tree_spec, main
 from treeshift.series import EventuallyIncreasing, PartialSumExceeds, TermsDoNotVanish
 
 FOUR_VERTEX = {
@@ -230,6 +233,89 @@ class TestNonFiniteWeights:
         assert code == 1
         assert report is None
         assert "finite" in err
+
+
+class TestMalformedSpecs:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+            {"vertices": ["a", "b"], "edges": [{"parent": "a", "child": "b", "weight": [1, None]}]},
+            {"family": "nat_path", "weights": "constant"},
+            {"family": "nat_path", "weights": {"kind": "geometric", "base": None}},
+            {"family": "descendant", "apex": {"level": 0, "digits": ["a"]}},
+            {"family": "descendant", "apex": {"level": math.inf}},
+            {"vertices": ["a", "b"], "edges": [{"parent": "a", "child": "b", "weight": 10**400}]},
+        ],
+        ids=[
+            "edge-not-object",
+            "null-imaginary-part",
+            "weights-not-object",
+            "null-base",
+            "non-integer-digit",
+            "infinite-level",
+            "integer-beyond-double",
+        ],
+    )
+    def test_parse_error_without_traceback(self, tmp_path, capsys, doc):
+        path = write(tmp_path, "tree.json", doc)
+        code, report, err = run(capsys, ["analyze", path, "--t", "0.5"])
+        assert code == 1
+        assert report is None
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.just(10**400)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+NAMES = st.sampled_from(["r", "a", "b"]) | JSON_VALUES
+FAMILY_SPECS = st.fixed_dictionaries(
+    {"family": st.sampled_from(["paper", "descendant", "nat_path", "int_path"]) | JSON_VALUES},
+    optional={
+        "apex": JSON_VALUES
+        | st.fixed_dictionaries(
+            {}, optional={"level": JSON_VALUES, "digits": JSON_VALUES | st.lists(JSON_VALUES, max_size=3)}
+        ),
+        "weights": JSON_VALUES
+        | st.fixed_dictionaries(
+            {"kind": st.sampled_from(["constant", "geometric"]) | JSON_VALUES},
+            optional={"value": JSON_VALUES, "base": JSON_VALUES, "scale": JSON_VALUES},
+        ),
+    },
+)
+EXPLICIT_SPECS = st.fixed_dictionaries(
+    {
+        "vertices": JSON_VALUES | st.lists(NAMES, max_size=4),
+        "edges": JSON_VALUES
+        | st.lists(
+            JSON_VALUES
+            | st.fixed_dictionaries(
+                {}, optional={"parent": NAMES, "child": NAMES, "weight": JSON_VALUES}
+            ),
+            max_size=4,
+        ),
+    }
+)
+
+
+class TestSpecParsingProperty:
+    @given(doc=FAMILY_SPECS | EXPLICIT_SPECS)
+    @settings(max_examples=400, deadline=None)
+    def test_returns_or_raises_parse_error(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "property-spec.json"
+        path.write_text(json.dumps(doc))
+        try:
+            load_tree_spec(str(path))
+        except ParseError:
+            pass
 
 
 class TestUsage:
