@@ -71,7 +71,6 @@ from .trees import (
 from .weights import (
     AluthgeWeights,
     CallableWeights,
-    NodeNorm,
     OmegaShiftWeights,
     PolarWeights,
     TableWeights,

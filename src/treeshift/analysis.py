@@ -71,12 +71,12 @@ def check_densely_defined(
     checked = []
     unknown = False
     for u in _default_sample(w, sample, window):
-        nn = w.node_norm(u)
-        if nn.status == "infinite":
+        verdict = w.aggregate(u)
+        if isinstance(verdict, series.Diverges):
             return DensityReport(
                 status="counterexample", counterexample=u, checked=tuple(checked)
             )
-        if nn.status == "unknown":
+        if isinstance(verdict, series.Inconclusive):
             unknown = True
         checked.append(u)
     if unknown:
@@ -136,13 +136,13 @@ def check_hyponormal(
         for v in w.tree.children(u):
             weight = w.weight(v)
             child_norm = w.node_norm(v)
-            if child_norm.status == "unknown":
+            if math.isnan(child_norm):
                 unknown_at = (v, "child norm undetermined")
                 incomplete = True
                 continue
-            if child_norm.status == "infinite":
+            if child_norm == math.inf:
                 continue  # child contributes nothing: |w|^2 / inf^2 = 0
-            if child_norm.value == 0.0:
+            if child_norm == 0.0:
                 if weight != 0:
                     return HyponormalityReport(
                         verdict="not-hyponormal",
@@ -150,7 +150,7 @@ def check_hyponormal(
                         witness=(v, "zero-norm-child"),
                     )
                 continue
-            terms.append(abs(weight) ** 2 / child_norm.value**2)
+            terms.append(abs(weight) ** 2 / child_norm**2)
         if incomplete:
             continue
         margin = math.fsum(terms)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
 from . import series
@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedRepresentationError,
 )
 from .trees import OmegaVertex
-from .weights import NodeNorm, WeightSystem, aluthge_weights
+from .weights import WeightSystem, aluthge_weights
 
 __all__ = [
     "StructuredVector",
@@ -69,8 +69,7 @@ class StructuredVector:
             if weights is None:
                 raise MixedBasisError("bundle terms need their weight system")
             for u in self.b:
-                nn = weights.node_norm(u)
-                if not nn.is_finite or nn.value == 0.0:
+                if not 0.0 < weights.node_norm(u) < math.inf:
                     raise EvaluationError(
                         f"bundle at {u!r} needs a finite positive node norm", vertex=u
                     )
@@ -130,12 +129,12 @@ class StructuredVector:
             for v, c in self.e.items():
                 parent = tree.parent(v)
                 if parent is not None and parent in other.b:
-                    cross = basis.weight(v).conjugate() / basis.node_norm(parent).value
+                    cross = basis.weight(v).conjugate() / basis.node_norm(parent)
                     total += c * other.b[parent].conjugate() * cross
             for v, d in other.e.items():
                 parent = tree.parent(v)
                 if parent is not None and parent in self.b:
-                    cross = basis.weight(v) / basis.node_norm(parent).value
+                    cross = basis.weight(v) / basis.node_norm(parent)
                     total += self.b[parent] * d.conjugate() * cross
         return total
 
@@ -185,7 +184,7 @@ def expand(f: StructuredVector) -> StructuredVector:
             raise UnsupportedRepresentationError(
                 f"bundle at {u!r} has infinitely many children", vertex=u
             )
-        s = w.node_norm(u).value
+        s = w.node_norm(u)
         for v in w.tree.children(u):
             wt = w.weight(v)
             if wt != 0:
@@ -219,14 +218,24 @@ class DomainVerdict:
         return self.status == "out"
 
 
-def _domain_norm(w: WeightSystem, v) -> NodeNorm:
+def _unmet(condition: str, v, verdict: series.SeriesVerdict, evidence=()) -> Optional[DomainVerdict]:
+    """The verdict an aggregate that does not converge forces: ``out`` with its
+    divergence certificate, or ``unknown`` when it is inconclusive."""
+    if isinstance(verdict, series.Diverges):
+        return DomainVerdict("out", condition, v, verdict.certificate, tuple(evidence))
+    if isinstance(verdict, series.Inconclusive):
+        return DomainVerdict("unknown", condition, v, evidence=tuple(evidence))
+    return None
+
+
+def _domain_norm(w: WeightSystem, v) -> float:
     """Finite node norm at ``v``; an infinite one puts the vector outside the domain."""
-    nn = w.node_norm(v)
-    if nn.status == "infinite":
+    verdict = w.aggregate(v)
+    if isinstance(verdict, series.Diverges):
         raise OutOfDomainError(
             f"vector leaves the domain: infinite node norm at {v!r}",
             vertex=v,
-            certificate=nn.certificate,
+            certificate=verdict.certificate,
         )
     return w.finite_norm(v)
 
@@ -248,10 +257,10 @@ def apply_shift(w: WeightSystem, f: StructuredVector) -> StructuredVector:
         raise UnsupportedRepresentationError("shift application takes a plain basis combination")
     out = {}
     for v, c in f.e.items():
-        nn = _domain_norm(w, v)
-        if nn.value == 0.0:
+        s = _domain_norm(w, v)
+        if s == 0.0:
             continue
-        out[v] = out.get(v, 0j) + c * nn.value
+        out[v] = out.get(v, 0j) + c * s
     return _expand_if_possible(w, StructuredVector(w, None, out))
 
 
@@ -265,7 +274,7 @@ def apply_adjoint(w: WeightSystem, f: StructuredVector) -> StructuredVector:
             continue
         out[parent] = out.get(parent, 0j) + c * w.weight(v).conjugate()
     for u, c in f.b.items():
-        out[u] = out.get(u, 0j) + c * w.node_norm(u).value
+        out[u] = out.get(u, 0j) + c * w.node_norm(u)
     return StructuredVector(None, out, None)
 
 
@@ -277,10 +286,10 @@ def apply_modulus_power(w: WeightSystem, alpha: float, f: StructuredVector) -> S
     g = expand(f) if f.b else f
     out = {}
     for v, c in g.e.items():
-        nn = _domain_norm(w, v)
-        if nn.value == 0.0:
+        s = _domain_norm(w, v)
+        if s == 0.0:
             continue
-        out[v] = c * nn.value**alpha
+        out[v] = c * s**alpha
     return StructuredVector(None, out, None)
 
 
@@ -298,12 +307,12 @@ def apply_adjoint_modulus_power(w: WeightSystem, alpha: float, f: StructuredVect
         parent = w.tree.parent(v)
         if parent is None:
             continue
-        nn = w.finite_norm(parent)
-        if nn.value == 0.0:
+        s = w.finite_norm(parent)
+        if s == 0.0:
             continue
-        out[parent] = out.get(parent, 0j) + c * w.weight(v).conjugate() * nn.value ** (alpha - 1)
+        out[parent] = out.get(parent, 0j) + c * w.weight(v).conjugate() * s ** (alpha - 1)
     for u, c in f.b.items():
-        out[u] = out.get(u, 0j) + c * w.node_norm(u).value ** alpha
+        out[u] = out.get(u, 0j) + c * w.node_norm(u) ** alpha
     return StructuredVector(w, None, out)
 
 
@@ -313,7 +322,7 @@ def apply_partial_isometry(w: WeightSystem, f: StructuredVector) -> StructuredVe
     g = expand(f) if f.b else f
     out = {}
     for u, c in g.e.items():
-        if w.finite_norm(u).value == 0.0:
+        if w.finite_norm(u) == 0.0:
             continue
         out[u] = out.get(u, 0j) + c
     return _expand_if_possible(w, StructuredVector(w, None, out))
@@ -327,10 +336,10 @@ def apply_partial_isometry_adjoint(w: WeightSystem, f: StructuredVector) -> Stru
         parent = w.tree.parent(v)
         if parent is None:
             continue
-        nn = w.finite_norm(parent)
-        if nn.value == 0.0:
+        s = w.finite_norm(parent)
+        if s == 0.0:
             continue
-        out[parent] = out.get(parent, 0j) + c * w.weight(v).conjugate() / nn.value
+        out[parent] = out.get(parent, 0j) + c * w.weight(v).conjugate() / s
     for u, c in f.b.items():
         out[u] = out.get(u, 0j) + c
     return StructuredVector(None, out, None)
@@ -348,26 +357,11 @@ def aluthge_basis_action(
     """
     mu = aluthge_weights(w, t)
     agg = mu.aggregate(u)
-    if isinstance(agg, series.Diverges):
-        return DomainVerdict(
-            status="out",
-            condition="aluthge-weight-aggregate",
-            vertex=u,
-            certificate=agg.certificate,
-        )
-    if isinstance(agg, series.Inconclusive):
-        return DomainVerdict(status="unknown", condition="aluthge-weight-aggregate", vertex=u)
-    if t < 1:
-        nn = w.node_norm(u)
-        if nn.status == "infinite":
-            return DomainVerdict(
-                status="out",
-                condition="modulus-power",
-                vertex=u,
-                certificate=nn.certificate,
-            )
-        if nn.status == "unknown":
-            return DomainVerdict(status="unknown", condition="modulus-power", vertex=u)
+    unmet = _unmet("aluthge-weight-aggregate", u, agg)
+    if unmet is None and t < 1:
+        unmet = _unmet("modulus-power", u, w.aggregate(u))
+    if unmet is not None:
+        return unmet
     value = math.sqrt(agg.value)
     if value == 0.0:
         return zero_vector()
@@ -391,7 +385,7 @@ def adjoint_aluthge_basis_action(w: WeightSystem, t: float, v) -> StructuredVect
     if grand is None:
         return zero_vector()
     grand_norm = w.finite_norm(grand)
-    if grand_norm.value == 0.0:
+    if grand_norm == 0.0:
         return zero_vector()
     mu = aluthge_weights(w, t)
     mu_parent = mu.weight(parent)
@@ -400,13 +394,8 @@ def adjoint_aluthge_basis_action(w: WeightSystem, t: float, v) -> StructuredVect
             f"transformed weight vanishes at {parent!r}; formula is a 0/0 form",
             vertex=parent,
         )
-    polar_parent = w.weight(parent) / grand_norm.value
-    coeff = (
-        w.weight(v).conjugate()
-        * abs(polar_parent) ** 2
-        / mu_parent
-        * grand_norm.value
-    )
+    polar_parent = w.weight(parent) / grand_norm
+    coeff = w.weight(v).conjugate() * abs(polar_parent) ** 2 / mu_parent * grand_norm
     return StructuredVector(w, None, {grand: coeff})
 
 
@@ -436,45 +425,27 @@ def domain_check(
     if which == "modulus_power":
         if alpha is None or alpha <= 0:
             raise ValueError("modulus_power needs alpha > 0")
+    # (condition, aggregate, evidence label), checked in order at each vertex
+    checks = [("node-norm", w.aggregate, "node-norm-finite")]
     if which == "aluthge":
         if t is None or not 0 < t <= 1:
             raise ValueError("aluthge needs t in (0, 1]")
         mu = aluthge_weights(w, t)
+        transformed = ("aluthge-weight-aggregate", mu.aggregate, "aluthge-aggregate-finite")
+        checks = [transformed] if t == 1 else [transformed] + checks
 
     evidence = []
     unknown = None
     for v in f.support():
-        if which == "aluthge":
-            agg = mu.aggregate(v)
-            if isinstance(agg, series.Diverges):
-                return DomainVerdict(
-                    status="out",
-                    condition="aluthge-weight-aggregate",
-                    vertex=v,
-                    certificate=agg.certificate,
-                    evidence=tuple(evidence),
-                )
-            if isinstance(agg, series.Inconclusive):
-                unknown = ("aluthge-weight-aggregate", v)
-                continue
-            evidence.append((v, "aluthge-aggregate-finite"))
-            if t == 1:
-                continue
-        nn = w.node_norm(v)
-        if nn.status == "infinite":
-            return DomainVerdict(
-                status="out",
-                condition="node-norm",
-                vertex=v,
-                certificate=nn.certificate,
-                evidence=tuple(evidence),
-            )
-        if nn.status == "unknown":
-            unknown = ("node-norm", v)
-            continue
-        evidence.append((v, "node-norm-finite"))
+        for condition, aggregate, label in checks:
+            unmet = _unmet(condition, v, aggregate(v), evidence)
+            if unmet is None:
+                evidence.append((v, label))
+            elif unmet.is_out:
+                return unmet
+            else:
+                unknown = unmet  # the vertex's remaining checks are skipped
+                break
     if unknown is not None:
-        return DomainVerdict(
-            status="unknown", condition=unknown[0], vertex=unknown[1], evidence=tuple(evidence)
-        )
+        return replace(unknown, evidence=tuple(evidence))
     return DomainVerdict(status="in", evidence=tuple(evidence))

@@ -131,7 +131,7 @@ def projection_sum_matrix(w: WeightSystem, dense: DenseOperator, alpha: float) -
     onto its shift image; with the shift columns as M and the node norms as
     s, that is the single product M diag(s^(alpha-2)) M*.
     """
-    norms = np.array([w.node_norm(u).value for u in dense.order], dtype=np.float64)
+    norms = np.array([w.node_norm(u) for u in dense.order], dtype=np.float64)
     active = norms != 0.0
     scale = np.zeros_like(norms)
     scale[active] = norms[active] ** (alpha - 2)

@@ -11,7 +11,6 @@ in that order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from . import series
@@ -19,7 +18,6 @@ from .errors import EvaluationError, StructureError
 from .trees import DescendantSubtree, DirectedTree, OmegaTree
 
 __all__ = [
-    "NodeNorm",
     "WeightSystem",
     "TableWeights",
     "CallableWeights",
@@ -30,49 +28,6 @@ __all__ = [
     "polar_weights",
     "aluthge_weights",
 ]
-
-
-@dataclass(frozen=True)
-class NodeNorm:
-    """Norm of the shift applied to one basis vector.
-
-    ``value`` is the square root of the child-weight aggregate when that is
-    finite, ``inf`` when it diverges, ``nan`` when the series verdict was
-    inconclusive.  ``detail`` keeps the underlying verdict so certificates
-    survive into domain reports.
-    """
-
-    status: str  # "finite" | "infinite" | "unknown"
-    value: float
-    error: float = 0.0
-    detail: object = None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.status == "finite"
-
-    @property
-    def is_zero(self) -> bool:
-        return self.status == "finite" and self.value == 0.0
-
-    @property
-    def certificate(self):
-        if isinstance(self.detail, series.Diverges):
-            return self.detail.certificate
-        return None
-
-
-def _norm_from_verdict(verdict: series.SeriesVerdict) -> NodeNorm:
-    if isinstance(verdict, series.Converges):
-        value = math.sqrt(verdict.value)
-        if verdict.tail_bound:
-            error = math.sqrt(verdict.value + verdict.tail_bound) - value
-        else:
-            error = 0.0
-        return NodeNorm("finite", value, error, verdict)
-    if isinstance(verdict, series.Diverges):
-        return NodeNorm("infinite", math.inf, 0.0, verdict)
-    return NodeNorm("unknown", math.nan, 0.0, verdict)
 
 
 class WeightSystem:
@@ -133,22 +88,28 @@ class WeightSystem:
         """Squared weights of the children of ``u``, in enumeration order."""
         return (abs(self.weight(v)) ** 2 for v in self.tree.children(u))
 
-    def node_norm(self, u) -> NodeNorm:
-        return _norm_from_verdict(self.aggregate(u))
+    def node_norm(self, u) -> float:
+        """Norm of the shift at the basis vector of ``u``: the square root of
+        the aggregate, ``inf`` when it diverges, ``nan`` when its verdict is
+        inconclusive.  The verdict and its certificate are ``aggregate(u)``."""
+        verdict = self.aggregate(u)
+        if isinstance(verdict, series.Converges):
+            return math.sqrt(verdict.value)
+        return math.inf if isinstance(verdict, series.Diverges) else math.nan
 
-    def finite_norm(self, u, vertex=None) -> NodeNorm:
+    def finite_norm(self, u, vertex=None) -> float:
         """The node norm at ``u``; an infinite or undetermined one is an
         evaluation error naming ``vertex`` (default ``u``)."""
-        nn = self.node_norm(u)
-        if nn.status != "finite":
-            state = "infinite" if nn.status == "infinite" else "undetermined"
+        s = self.node_norm(u)
+        if not math.isfinite(s):
+            state = "infinite" if s == math.inf else "undetermined"
             named = u if vertex is None else vertex
             raise EvaluationError(f"node norm at {u!r} is {state}", vertex=named)
-        return nn
+        return s
 
     def is_active(self, u) -> bool:
         """Whether the shift sends the basis vector at ``u`` to a nonzero vector."""
-        return self.finite_norm(u).value > 0.0
+        return self.finite_norm(u) > 0.0
 
 
 class TableWeights(WeightSystem):
@@ -241,7 +202,7 @@ class OmegaShiftWeights(WeightSystem):
             raise ArithmeticError(f"4^t rounds to 1 at t={t}; t too small for floats")
         return series.closed_form_aggregate(growth)
 
-    def margin_terms(self, u=None):
+    def margin_terms(self):
         """Terms of the per-vertex hyponormality margin, in child-digit order.
 
         The margin is the sum over children of |weight|^2 divided by the
@@ -280,13 +241,13 @@ class PolarWeights(WeightSystem):
 
     def weight(self, v) -> complex:
         self._require_non_root(v)
-        nn = self.base.finite_norm(self.tree.parent(v), vertex=v)
-        if nn.value == 0.0:
+        s = self.base.finite_norm(self.tree.parent(v), vertex=v)
+        if s == 0.0:
             return 0j
-        return complex(self.base.weight(v)) / nn.value
+        return complex(self.base.weight(v)) / s
 
     def _closed_form(self, u):
-        return series.Converges(1.0 if self.base.finite_norm(u).value > 0.0 else 0.0, 0.0)
+        return series.Converges(1.0 if self.base.finite_norm(u) > 0.0 else 0.0, 0.0)
 
 
 class AluthgeWeights(WeightSystem):
@@ -303,7 +264,7 @@ class AluthgeWeights(WeightSystem):
 
     def weight(self, v) -> complex:
         self._require_non_root(v)
-        return self._scaled(v, self.base.finite_norm(self.tree.parent(v), vertex=v).value)
+        return self._scaled(v, self.base.finite_norm(self.tree.parent(v), vertex=v))
 
     def child_terms(self, u):
         # The parent norm is the same for every child: take it once, on the
@@ -311,20 +272,20 @@ class AluthgeWeights(WeightSystem):
         parent_norm = None
         for v in self.tree.children(u):
             if parent_norm is None:
-                parent_norm = self.base.finite_norm(u, vertex=v).value
+                parent_norm = self.base.finite_norm(u, vertex=v)
             yield abs(self._scaled(v, parent_norm)) ** 2
 
     def _scaled(self, v, parent_norm: float) -> complex:
         child_norm = self.base.finite_norm(v)
         if parent_norm == 0.0:
             return 0j
-        return (child_norm.value / parent_norm) ** self.t * complex(self.base.weight(v))
+        return (child_norm / parent_norm) ** self.t * complex(self.base.weight(v))
 
     def _closed_form(self, u):
         return self.base._aluthge_closed_form(u, self.t)
 
 
-def node_norm(w: WeightSystem, u) -> NodeNorm:
+def node_norm(w: WeightSystem, u) -> float:
     return w.node_norm(u)
 
 

@@ -262,5 +262,5 @@ class TestStrictInclusion:
         mu = aluthge_weights(w, 0.5)
         assert all(mu.weight(v) == 0 for v in range(1, 40))
         # while the base operator itself is unbounded along the path
-        norms = [w.node_norm(2 * k).value for k in range(1, 6)]
+        norms = [w.node_norm(2 * k) for k in range(1, 6)]
         assert all(b > a for a, b in zip(norms, norms[1:]))

@@ -181,7 +181,7 @@ class TestApplyAdjoint:
     def test_adjoint_of_shift_is_squared_norm(self, omega):
         u = OmegaVertex(0, (3,))
         back = apply_adjoint(omega, apply_shift(omega, basis_vector(u)))
-        s = node_norm(omega, u).value
+        s = node_norm(omega, u)
         assert_vec_close(back, {u: s * s}, tol=1e-10)
         via_modulus = apply_modulus_power(omega, 2.0, basis_vector(u))
         assert back.e[u] == pytest.approx(via_modulus.e[u], rel=1e-14)
@@ -221,7 +221,7 @@ class TestModulusPowers:
 
     def test_adjoint_modulus_bundle_eigenvector(self, omega):
         u = OmegaVertex(0, (1,))
-        s = node_norm(omega, u).value
+        s = node_norm(omega, u)
         got = apply_adjoint_modulus_power(omega, 1.3, bundle_vector(omega, u))
         assert got.b == {u: pytest.approx(s**1.3, rel=1e-13)}
 
@@ -234,7 +234,7 @@ class TestModulusPowers:
         v = OmegaVertex(1, (3, 0))
         parent = OmegaVertex(0, (3,))
         alpha = 2.0
-        s = node_norm(omega, parent).value
+        s = node_norm(omega, parent)
         got = apply_adjoint_modulus_power(omega, alpha, basis_vector(v))
         assert got.b == {parent: pytest.approx(8.0 * s, rel=1e-13)}
 
@@ -303,7 +303,7 @@ class TestAdjointAluthgeBasisAction:
         expected = (
             2.0 ** ((1 - t) * 3)
             / ((3 + 1) * (2 + 1) * GAMMA**2)
-            * node_norm(omega, grand).value
+            * node_norm(omega, grand)
         )
         assert set(got.b) == {grand}
         assert got.b[grand] == pytest.approx(expected, rel=1e-12)

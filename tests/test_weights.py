@@ -5,7 +5,14 @@ import pytest
 
 from treeshift.analysis import check_densely_defined, check_hyponormal
 from treeshift.errors import EvaluationError, StructureError
-from treeshift.series import Converges, Diverges, SumPolicy, TermsDoNotVanish, inverse_square_sum
+from treeshift.series import (
+    Converges,
+    Diverges,
+    Inconclusive,
+    SumPolicy,
+    TermsDoNotVanish,
+    inverse_square_sum,
+)
 from treeshift.trees import (
     LazyTree,
     OmegaVertex,
@@ -61,22 +68,22 @@ class TestNodeNorm:
     def test_omega_all_zero_norm_is_gamma(self):
         w = OmegaShiftWeights()
         nn = node_norm(w, OmegaVertex(0))
-        assert nn.status == "finite"
-        assert nn.value == pytest.approx(GAMMA, rel=1e-15)
+        assert math.isfinite(nn)
+        assert nn == pytest.approx(GAMMA, rel=1e-15)
 
     def test_omega_norm_scales_with_digit_sum(self):
         w = OmegaShiftWeights()
         nn = node_norm(w, OmegaVertex(2, (1, 2)))
-        assert nn.value == pytest.approx(8.0 * GAMMA, rel=1e-14)
+        assert nn == pytest.approx(8.0 * GAMMA, rel=1e-14)
 
     def test_leaf_norm_is_zero(self):
         tree = finite_tree([None, 0])
         w = TableWeights(tree, {1: 2.5})
-        assert node_norm(w, 1).is_zero
+        assert node_norm(w, 1) == 0.0
 
     def test_doubling_path_norm(self):
         w = doubling_path()
-        assert node_norm(w, 5).value == pytest.approx(2.0**5, rel=1e-15)
+        assert node_norm(w, 5) == pytest.approx(2.0**5, rel=1e-15)
 
     def test_nan_weight_has_no_finite_norm(self):
         w = CallableWeights(nat_path(), lambda v: math.nan)
@@ -86,8 +93,8 @@ class TestNodeNorm:
     def test_infinite_norm_with_claim(self):
         w = star_with_unit_weights()
         nn = node_norm(w, 0)
-        assert nn.status == "infinite"
-        assert nn.certificate == TermsDoNotVanish(start=0, lower_bound=1.0)
+        assert nn == math.inf
+        assert w.aggregate(0).certificate == TermsDoNotVanish(start=0, lower_bound=1.0)
 
     def test_aggregate_cached(self):
         w = OmegaShiftWeights()
@@ -108,7 +115,7 @@ class TestOmegaWeights:
         w = OmegaShiftWeights(sub)
         child = apex.child(2)
         assert w.weight(child) == pytest.approx(2.0 / 3.0)
-        assert node_norm(w, apex).value == pytest.approx(2.0 * GAMMA, rel=1e-14)
+        assert node_norm(w, apex) == pytest.approx(2.0 * GAMMA, rel=1e-14)
         with pytest.raises(EvaluationError):
             w.weight(apex)  # the apex is the root of the subtree
 
@@ -204,8 +211,8 @@ class TestAluthgeWeights:
         w = doubling_path()
         mu = aluthge_weights(w, 1.0)
         for n in (1, 2, 5):
-            s_child = node_norm(w, n).value
-            s_parent = node_norm(w, n - 1).value
+            s_child = node_norm(w, n)
+            s_parent = node_norm(w, n - 1)
             assert mu.weight(n).real == pytest.approx(
                 s_child / s_parent * w.weight(n).real, rel=1e-15
             )
@@ -251,7 +258,7 @@ class TestTableWeights:
     def test_complex_weights(self):
         tree = finite_tree([None, 0])
         w = TableWeights(tree, {1: 1 + 2j})
-        assert node_norm(w, 0).value == pytest.approx(math.sqrt(5.0), rel=1e-15)
+        assert node_norm(w, 0) == pytest.approx(math.sqrt(5.0), rel=1e-15)
 
 
 def weight_by_weight(mu, u, count):
@@ -300,6 +307,12 @@ class TestChildTerms:
 
 
 class TestUndeterminedNorm:
+    def test_node_norm_is_nan(self):
+        w = undetermined_star()
+        assert math.isnan(node_norm(w, 0))
+        assert isinstance(w.aggregate(0), Inconclusive)
+        assert node_norm(w, 3) == 0.0
+
     def test_finite_norm_names_the_vertex(self):
         w = undetermined_star()
         with pytest.raises(EvaluationError, match="node norm at 0 is undetermined") as err:
