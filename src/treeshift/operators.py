@@ -395,7 +395,12 @@ def adjoint_aluthge_basis_action(w: WeightSystem, t: float, v) -> StructuredVect
             vertex=parent,
         )
     polar_parent = w.weight(parent) / grand_norm
-    coeff = w.weight(v).conjugate() * abs(polar_parent) ** 2 / mu_parent * grand_norm
+    coeff = (
+        w.weight(v).conjugate()
+        * abs(polar_parent) ** 2
+        / mu_parent
+        * grand_norm
+    )
     return StructuredVector(w, None, {grand: coeff})
 
 
@@ -414,7 +419,10 @@ def domain_check(
 
     ``which`` selects the operator: the shift itself, its adjoint (always
     defined on finite combinations), a modulus power (needs ``alpha``), or
-    the transform (needs ``t``).
+    the transform (needs ``t``).  Each support vertex runs its checks in
+    order: a divergent aggregate puts the vector out at once, an inconclusive
+    one skips the vertex's remaining checks, and the last such vertex makes
+    the verdict unknown.
     """
     if which not in _DOMAIN_OPS:
         raise ValueError(f"unknown operator selector {which!r}")
@@ -425,7 +433,6 @@ def domain_check(
     if which == "modulus_power":
         if alpha is None or alpha <= 0:
             raise ValueError("modulus_power needs alpha > 0")
-    # (condition, aggregate, evidence label), checked in order at each vertex
     checks = [("node-norm", w.aggregate, "node-norm-finite")]
     if which == "aluthge":
         if t is None or not 0 < t <= 1:
@@ -444,7 +451,7 @@ def domain_check(
             elif unmet.is_out:
                 return unmet
             else:
-                unknown = unmet  # the vertex's remaining checks are skipped
+                unknown = unmet
                 break
     if unknown is not None:
         return replace(unknown, evidence=tuple(evidence))
