@@ -217,7 +217,10 @@ def certify_trivial_aluthge_domain(
         if cert.heuristic:
             heuristic = True
         else:
-            series.verify_certificate(cert, mu.child_terms(u), _CERT_VERIFY_TERMS)
+            # only the window from the claim's start is checked, so the
+            # children before it are never built
+            terms = mu.child_terms(u, cert.start)
+            series.verify_certificate(cert, terms, _CERT_VERIFY_TERMS, first=cert.start)
         per_vertex[format_vertex(u)] = cert
 
     if family_cert is not None:
@@ -308,7 +311,9 @@ def nonclosability_witness(
     certificate = series.closed_form_aggregate(ratio_limit).certificate
     # The claim's window may start past the K reported terms (t near 1), so
     # check it on a lazy stream rather than on the reported terms.
-    series.verify_certificate(certificate, map(pairing_term, itertools.count()), len(term_list))
+    start = certificate.start
+    terms = map(pairing_term, itertools.count(start))
+    series.verify_certificate(certificate, terms, len(term_list), first=start)
 
     probes = tuple(
         format_vertex(base.child(k).child(0)) for k in range(min(4, len(term_list)))

@@ -68,7 +68,8 @@ def _family_spec(doc: dict):
     if family == "descendant":
         apex_doc = doc.get("apex", {"level": 0, "digits": []})
         try:
-            apex = OmegaVertex.make(apex_doc["level"], apex_doc.get("digits", []))
+            level = _integral(apex_doc["level"])
+            apex = OmegaVertex.make(level, [_integral(d) for d in apex_doc.get("digits", [])])
         except (KeyError, TypeError, ValueError, OverflowError, TreeShiftError) as exc:
             raise ParseError(f"bad 'apex' field: {exc}") from exc
         tree = descendant_subtree(omega_tree(), apex)
@@ -80,18 +81,41 @@ def _family_spec(doc: dict):
     raise ParseError(f"unknown family {family!r}")
 
 
+def _integral(value) -> int:
+    """An apex level or digit: a JSON integer, or a float with an integral value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _finite_field(spec: dict, key: str, default, cast):
+    value = cast(spec.get(key, default))
+    if not cmath.isfinite(value):
+        raise ValueError(f"{key!r} must be finite, got {spec[key]!r}")
+    return value
+
+
 def _path_weight_fn(spec: dict):
     if not isinstance(spec, dict):
         raise ParseError(f"'weights' must be an object, got {spec!r}")
     kind = spec.get("kind")
     try:
         if kind == "constant":
-            value = complex(spec.get("value", 1.0))
+            value = _finite_field(spec, "value", 1.0, complex)
             return lambda v: value
         if kind == "geometric":
-            base = float(spec.get("base", 2.0))
-            scale = complex(spec.get("scale", 1.0))
-            return lambda v: scale * base**v
+            base = _finite_field(spec, "base", 2.0, float)
+            scale = _finite_field(spec, "scale", 1.0, complex)
+
+            def geometric(v):
+                weight = scale * base**v
+                if not cmath.isfinite(weight):
+                    raise OverflowError(f"path weight at {v} overflows")
+                return weight
+
+            return geometric
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad 'weights' field: {exc}") from exc
     raise ParseError(f"unknown path weight kind {kind!r} (use 'constant' or 'geometric')")

@@ -10,6 +10,7 @@ stream can at best earn the heuristic partial-sum certificate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
@@ -112,26 +113,50 @@ class SumPolicy:
 DEFAULT_POLICY = SumPolicy()
 
 
-def verify_certificate(certificate: DivergenceCertificate, terms: Iterable[float], count: int) -> None:
+def verify_certificate(
+    certificate: DivergenceCertificate, terms: Iterable[float], count: int, first: int = 0
+) -> None:
     """Check a divergence claim against up to ``count`` actual terms.
 
-    A claim with a start index is checked on at least the terms up to
-    ``start + 16``, so the window always holds 16 terms (or ratios) past the
-    start.  Raises :class:`CertificateError` on any contradiction.  Passing
-    proves nothing beyond the sampled window; the analytic validity of the
-    claim is the caller's responsibility.
+    ``terms`` yields the terms from index ``first`` on.  A claim with a start
+    index is checked on the window ``[start, max(count, start + 17))``, so it
+    always holds 16 terms (or ratios) past the start; ``first`` may lie
+    anywhere from 0 to ``start``, and the terms before ``first`` are never
+    computed.  An ``EventuallyIncreasing`` check ends at the first non-finite
+    term it reads, so with ``first`` past such a term the check no longer
+    stops there.  A partial-sum claim is checked from index 0 only.  Raises
+    :class:`CertificateError` on any contradiction.  Passing proves nothing
+    beyond the sampled window; the analytic validity of the claim is the
+    caller's responsibility.
     """
-    it = iter(terms)
-    if isinstance(certificate, (TermsDoNotVanish, EventuallyIncreasing)):
-        count = max(count, certificate.start + 17)
+    if isinstance(certificate, PartialSumExceeds):
+        if first != 0:
+            raise CertificateError("a partial-sum claim is checked from term 0")
+        total = 0.0
+        for n, term in enumerate(terms):
+            total += term
+            if total > certificate.threshold:
+                return
+            if n > certificate.crossed_at + count:
+                break
+        raise CertificateError("partial sums never crossed the claimed threshold")
     if isinstance(certificate, TermsDoNotVanish):
         if certificate.lower_bound <= 0:
             raise CertificateError("lower bound must be positive")
+    elif isinstance(certificate, EventuallyIncreasing):
+        if certificate.ratio <= 1:
+            raise CertificateError("ratio must exceed 1")
+    else:
+        raise CertificateError(f"unknown certificate {certificate!r}")
+    start = certificate.start
+    if not 0 <= first <= start:
+        raise CertificateError(f"terms begin at index {first}, outside 0..{start}")
+    end = max(count, start + 17)
+    window = enumerate(itertools.islice(terms, end - first), first)
+    if isinstance(certificate, TermsDoNotVanish):
         seen = 0
-        for n, term in enumerate(it):
-            if n >= count:
-                break
-            if n >= certificate.start:
+        for n, term in window:
+            if n >= start:
                 seen += 1
                 if term < certificate.lower_bound * (1 - _REL_SLACK):
                     raise CertificateError(
@@ -140,37 +165,21 @@ def verify_certificate(certificate: DivergenceCertificate, terms: Iterable[float
         if seen == 0:
             raise CertificateError("stream ended before the claimed start index")
         return
-    if isinstance(certificate, EventuallyIncreasing):
-        if certificate.ratio <= 1:
-            raise CertificateError("ratio must exceed 1")
-        prev = None
-        checked = 0
-        for n, term in enumerate(it):
-            if n >= count or not math.isfinite(term):
-                break
-            if n == certificate.start and term <= 0:
-                raise CertificateError("term at the start index must be positive")
-            if n > certificate.start and prev is not None:
-                checked += 1
-                if term < prev * certificate.ratio * (1 - _REL_SLACK):
-                    raise CertificateError(
-                        f"ratio at term {n} drops below the claimed {certificate.ratio}"
-                    )
-            if n >= certificate.start:
-                prev = term
-        if checked == 0:
-            raise CertificateError("stream ended before the claimed start index")
-        return
-    if isinstance(certificate, PartialSumExceeds):
-        total = 0.0
-        for n, term in enumerate(it):
-            total += term
-            if total > certificate.threshold:
-                return
-            if n > certificate.crossed_at + count:
-                break
-        raise CertificateError("partial sums never crossed the claimed threshold")
-    raise CertificateError(f"unknown certificate {certificate!r}")
+    prev = None
+    checked = 0
+    for n, term in window:
+        if not math.isfinite(term):
+            break
+        if n == start and term <= 0:
+            raise CertificateError("term at the start index must be positive")
+        if n > start and prev is not None:
+            checked += 1
+            if term < prev * certificate.ratio * (1 - _REL_SLACK):
+                raise CertificateError(f"ratio at term {n} drops below the claimed {certificate.ratio}")
+        if n >= start:
+            prev = term
+    if checked == 0:
+        raise CertificateError("stream ended before the claimed start index")
 
 
 def sum_series(

@@ -2,9 +2,11 @@
 
 Finite trees store eager children lists.  The built-in infinite families
 (:class:`NatPath`, :class:`IntPath`, :class:`OmegaTree`) hand out a fresh
-generator on every ``children`` call, so independent consumers never share
+iterator on every ``children`` call, so independent consumers never share
 iterator state.  All child streams follow one fixed enumeration order; every
-series evaluated over a child set uses that order.
+series evaluated over a child set uses that order.  ``children(u, first)``
+starts the stream at index ``first``; every tree except :class:`LazyTree`
+does so without building the children before it.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ class OmegaVertex:
     digits: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if any(d < 0 for d in self.digits):
-            raise StructureError("vertex digits must be nonnegative")
-        if self.digits and self.digits[0] == 0:
-            raise StructureError("leading zero digit: vertex not canonical")
+        if self.digits:
+            if min(self.digits) < 0:
+                raise StructureError("vertex digits must be nonnegative")
+            if self.digits[0] == 0:
+                raise StructureError("leading zero digit: vertex not canonical")
 
     @classmethod
     def make(cls, level: int, digits) -> "OmegaVertex":
@@ -110,7 +113,8 @@ class DirectedTree:
     def parent(self, v):
         raise NotImplementedError
 
-    def children(self, u) -> Iterator:
+    def children(self, u, first: int = 0) -> Iterator:
+        """The children of ``u`` in enumeration order, from index ``first`` >= 0 on."""
         raise NotImplementedError
 
     def child_count(self, u) -> Optional[int]:
@@ -171,9 +175,9 @@ class FiniteTree(DirectedTree):
         self.require_vertex(v)
         return self._parents[v]
 
-    def children(self, u):
+    def children(self, u, first=0):
         self.require_vertex(u)
-        return iter(self._children[u])
+        return iter(self._children[u][first:])
 
     def child_count(self, u):
         self.require_vertex(u)
@@ -202,9 +206,9 @@ class NatPath(DirectedTree):
         self.require_vertex(v)
         return None if v == 0 else v - 1
 
-    def children(self, u):
+    def children(self, u, first=0):
         self.require_vertex(u)
-        return iter((u + 1,))
+        return iter((u + 1,)[first:])
 
     def child_count(self, u):
         self.require_vertex(u)
@@ -221,9 +225,9 @@ class IntPath(DirectedTree):
         self.require_vertex(v)
         return v - 1
 
-    def children(self, u):
+    def children(self, u, first=0):
         self.require_vertex(u)
-        return iter((u + 1,))
+        return iter((u + 1,)[first:])
 
     def child_count(self, u):
         self.require_vertex(u)
@@ -246,14 +250,9 @@ class OmegaTree(DirectedTree):
         # a prefix of a canonical word is canonical, so no trimming is needed
         return OmegaVertex(v.level - 1, v.digits[:-1])
 
-    def children(self, u):
+    def children(self, u, first=0):
         self.require_vertex(u)
-
-        def stream():
-            for n in itertools.count(0):
-                yield u.child(n)
-
-        return stream()
+        return map(u.child, itertools.count(first))
 
     def child_count(self, u):
         self.require_vertex(u)
@@ -279,9 +278,9 @@ class DescendantSubtree(DirectedTree):
         self.require_vertex(v)
         return None if v == self.apex else self.base.parent(v)
 
-    def children(self, u):
+    def children(self, u, first=0):
         self.require_vertex(u)
-        return self.base.children(u)
+        return self.base.children(u, first)
 
     def child_count(self, u):
         self.require_vertex(u)
@@ -349,8 +348,8 @@ class LazyTree(DirectedTree):
     def parent(self, v):
         return self._parent(v)
 
-    def children(self, u):
-        return iter(self._children(u))
+    def children(self, u, first=0):
+        return itertools.islice(self._children(u), first, None)
 
     def child_count(self, u):
         return self._count(u) if self._count is not None else None

@@ -5,7 +5,7 @@ square norm of the shift at a basis vector is the aggregate of squared child
 weights; derived systems divide by parent norms (polar factor) or scale by a
 power of the child/parent norm ratio (Aluthge transform).  Aggregates go
 through a system's own closed form, exact finite sums, or the series engine,
-in that order.
+in that order; only the last two are cached.
 """
 
 from __future__ import annotations
@@ -64,18 +64,22 @@ class WeightSystem:
         return None
 
     def aggregate(self, u) -> series.SeriesVerdict:
-        """Verdict for the sum of squared child weights at ``u``."""
+        """Verdict for the sum of squared child weights at ``u``.
+
+        Closed forms cost O(1) and are recomputed on every call; only exact
+        finite sums and series verdicts are cached.
+        """
         cached = self._aggregates.get(u)
         if cached is not None:
             return cached
-        verdict = self._aggregate_uncached(u)
-        self._aggregates[u] = verdict
-        return verdict
-
-    def _aggregate_uncached(self, u) -> series.SeriesVerdict:
         closed = self._closed_form(u)
         if closed is not None:
             return closed
+        verdict = self._summed_aggregate(u)
+        self._aggregates[u] = verdict
+        return verdict
+
+    def _summed_aggregate(self, u) -> series.SeriesVerdict:
         if self.tree.child_count(u) is not None:
             total = math.fsum(self.child_terms(u))
             if not math.isfinite(total):
@@ -84,9 +88,10 @@ class WeightSystem:
         stream = self.child_terms(u)
         return series.sum_series(stream, self.policy, certificate=self._divergence_claim(u))
 
-    def child_terms(self, u) -> Iterator[float]:
-        """Squared weights of the children of ``u``, in enumeration order."""
-        return (abs(self.weight(v)) ** 2 for v in self.tree.children(u))
+    def child_terms(self, u, first: int = 0) -> Iterator[float]:
+        """Squared weights of the children of ``u``, in enumeration order
+        from child index ``first`` on."""
+        return (abs(self.weight(v)) ** 2 for v in self.tree.children(u, first))
 
     def node_norm(self, u) -> float:
         """Norm of the shift at the basis vector of ``u``: the square root of
@@ -266,11 +271,11 @@ class AluthgeWeights(WeightSystem):
         self._require_non_root(v)
         return self._scaled(v, self.base.finite_norm(self.tree.parent(v), vertex=v))
 
-    def child_terms(self, u):
+    def child_terms(self, u, first=0):
         # The parent norm is the same for every child: take it once, on the
-        # first child, so an infinite one still names that child.
+        # first child yielded, so an infinite one still names that child.
         parent_norm = None
-        for v in self.tree.children(u):
+        for v in self.tree.children(u, first):
             if parent_norm is None:
                 parent_norm = self.base.finite_norm(u, vertex=v)
             yield abs(self._scaled(v, parent_norm)) ** 2

@@ -12,9 +12,9 @@ from treeshift.analysis import (
     strict_inclusion_example,
     strict_inclusion_weight,
 )
-from treeshift.errors import NoWitnessError
+from treeshift.errors import CertificateError, NoWitnessError
 from treeshift.operators import basis_vector
-from treeshift.series import TermsDoNotVanish, inverse_square_sum
+from treeshift.series import Diverges, EventuallyIncreasing, TermsDoNotVanish, inverse_square_sum
 from treeshift.trees import (
     LazyTree,
     OmegaVertex,
@@ -144,6 +144,44 @@ class TestTriviality:
     def test_t_validated(self):
         with pytest.raises(ValueError):
             certify_trivial_aluthge_domain(OmegaShiftWeights(), 0.0)
+
+
+class OverclaimedWeights(OmegaShiftWeights):
+    """The built-in family with its transform's ratio claim raised to the
+    real ratio one step past the start, so only the first ratio past the
+    start contradicts it."""
+
+    def _aluthge_closed_form(self, u, t):
+        start = super()._aluthge_closed_form(u, t).certificate.start
+        return Diverges(EventuallyIncreasing(start, 4.0**t * ((start + 2) / (start + 3)) ** 2))
+
+
+class TestTrivialityWork:
+    # Deterministic work of the per-vertex certificate check on the
+    # descendant window of 21 vertices: each vertex reads the window
+    # [start, max(48, start + 17)) and nothing before it.
+    WINDOW = SampleWindow(depth_bound=2, digit_bound=3)
+
+    @pytest.mark.parametrize("t, weight_calls", [(0.5, 966), (0.1, 735), (0.02, 357)])
+    def test_weight_calls_and_no_cached_closed_forms(self, monkeypatch, t, weight_calls):
+        w = OmegaShiftWeights(descendant_subtree(omega_tree(), OmegaVertex(0, (2,))))
+        calls = []
+        weight = OmegaShiftWeights.weight
+
+        def counting(self, v):
+            calls.append(v)
+            return weight(self, v)
+
+        monkeypatch.setattr(OmegaShiftWeights, "weight", counting)
+        report = certify_trivial_aluthge_domain(w, t, window=self.WINDOW)
+        assert report.status == "certified-family"
+        start = report.family_certificate.start
+        assert len(calls) == 21 * (max(48, start + 17) - start) == weight_calls
+        assert w._aggregates == {}
+
+    def test_violation_at_first_ratio_past_start_caught(self):
+        with pytest.raises(CertificateError, match="ratio at term 3 drops"):
+            certify_trivial_aluthge_domain(OverclaimedWeights(), 0.5, window=WINDOW)
 
 
 class TestWitness:

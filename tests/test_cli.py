@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from treeshift.cli import ParseError, cert_dict, load_tree_spec, main
 from treeshift.series import EventuallyIncreasing, PartialSumExceeds, TermsDoNotVanish
+from treeshift.trees import OmegaVertex
 
 FOUR_VERTEX = {
     "vertices": ["r", "a", "b", "c"],
@@ -215,6 +216,14 @@ class TestNumericalFailures:
         assert report is None
         assert err.startswith("numerical failure:")
 
+    def test_overflowing_path_weight(self, tmp_path, capsys):
+        doc = {"family": "nat_path", "weights": {"kind": "geometric", "base": 1e308, "scale": 1e308}}
+        code, report, err = run(capsys, ["analyze", write(tmp_path, "tree.json", doc), "--t", "0.5"])
+        assert code == 3
+        assert report is None
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
+
     def test_witness_growth_too_close_to_one(self, capsys):
         # 4^(1-t) is so close to 1 that the certificate would start past 10**7
         code, report, err = run(capsys, ["witness", "--t", "0.9999999999"])
@@ -235,6 +244,26 @@ class TestNonFiniteWeights:
         assert "finite" in err
 
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {"kind": "constant", "value": math.nan},
+            {"kind": "constant", "value": "nan"},
+            {"kind": "geometric", "base": math.inf},
+            {"kind": "geometric", "scale": "-inf"},
+        ],
+        ids=["nan-value", "nan-string-value", "infinite-base", "infinite-string-scale"],
+    )
+    def test_non_finite_path_weight_is_a_parse_error(self, tmp_path, capsys, weights):
+        path = write(tmp_path, "tree.json", {"family": "int_path", "weights": weights})
+        with pytest.raises(ParseError, match="must be finite"):
+            load_tree_spec(path)
+        code, report, err = run(capsys, ["analyze", path, "--t", "0.5"])
+        assert code == 1
+        assert report is None
+        assert "must be finite" in err
+
+
 class TestMalformedSpecs:
     @pytest.mark.parametrize(
         "doc",
@@ -246,6 +275,10 @@ class TestMalformedSpecs:
             {"family": "descendant", "apex": {"level": 0, "digits": ["a"]}},
             {"family": "descendant", "apex": {"level": math.inf}},
             {"vertices": ["a", "b"], "edges": [{"parent": "a", "child": "b", "weight": 10**400}]},
+            {"family": "descendant", "apex": {"level": 1.5, "digits": [2]}},
+            {"family": "descendant", "apex": {"level": 1, "digits": [2.7]}},
+            {"family": "descendant", "apex": {"level": True}},
+            {"family": "descendant", "apex": {"level": 0, "digits": [False, 1]}},
         ],
         ids=[
             "edge-not-object",
@@ -255,6 +288,10 @@ class TestMalformedSpecs:
             "non-integer-digit",
             "infinite-level",
             "integer-beyond-double",
+            "fractional-level",
+            "fractional-digit",
+            "boolean-level",
+            "boolean-digit",
         ],
     )
     def test_parse_error_without_traceback(self, tmp_path, capsys, doc):
@@ -275,6 +312,13 @@ JSON_VALUES = st.recursive(
     | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=8,
+)
+# apex entries: integers, integral and fractional floats, and booleans
+APEX_ENTRIES = (
+    st.integers(-5, 5)
+    | st.integers(-5, 5).map(float)
+    | st.floats(-5, 5, allow_nan=False).filter(lambda x: not x.is_integer())
+    | st.booleans()
 )
 NAMES = st.sampled_from(["r", "a", "b"]) | JSON_VALUES
 FAMILY_SPECS = st.fixed_dictionaries(
@@ -316,6 +360,28 @@ class TestSpecParsingProperty:
             load_tree_spec(str(path))
         except ParseError:
             pass
+
+    @given(
+        level=APEX_ENTRIES,
+        digits=st.lists(APEX_ENTRIES, max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_apex_is_read_exactly_or_refused(self, tmp_path_factory, level, digits):
+        path = tmp_path_factory.getbasetemp() / "property-apex.json"
+        path.write_text(json.dumps({"family": "descendant", "apex": {"level": level, "digits": digits}}))
+        entries = [level, *digits]
+        integral = all(
+            not isinstance(x, bool) and (isinstance(x, int) or x.is_integer()) for x in entries
+        )
+        if not integral or any(x < 0 for x in digits):
+            with pytest.raises(ParseError):
+                load_tree_spec(str(path))
+            return
+        tree, _, _ = load_tree_spec(str(path))
+        words = [int(x) for x in digits]
+        while words and words[0] == 0:
+            words.pop(0)
+        assert tree.apex == OmegaVertex(int(level), tuple(words))
 
 
 class TestUsage:

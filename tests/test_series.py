@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshift.errors import CertificateError, NonnegativityError
 from treeshift.series import (
@@ -139,6 +141,59 @@ class TestCertificateWindow:
     def test_short_count_widened_for_eventually_increasing(self):
         with pytest.raises(CertificateError, match="drops below"):
             verify_certificate(EventuallyIncreasing(10, 1.5), self.growth_then_drop(26), 12)
+
+
+def outcome(certificate, terms, count, first=0):
+    """The error message ``verify_certificate`` raises, or None when it passes."""
+    try:
+        verify_certificate(certificate, iter(terms), count, first=first)
+    except CertificateError as exc:
+        return str(exc)
+    return None
+
+
+TERM_LISTS = st.lists(st.floats(1e-3, 1e3), max_size=60) | st.builds(
+    lambda n, g: [g**k for k in range(n)], st.integers(0, 60), st.floats(1.0, 3.0)
+)
+START_CLAIMS = st.builds(
+    TermsDoNotVanish, st.integers(0, 25), st.floats(1e-3, 10.0)
+) | st.builds(EventuallyIncreasing, st.integers(0, 25), st.floats(1.001, 3.0))
+
+
+class TestCertificateFromStart:
+    # Passing ``first`` and the terms from that index on checks the same
+    # window as passing every term from index 0.
+    @given(terms=TERM_LISTS, cert=START_CLAIMS, count=st.integers(0, 48))
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_from_any_first_up_to_start(self, terms, cert, count):
+        expected = outcome(cert, terms, count)
+        for first in range(cert.start + 1):
+            assert outcome(cert, terms[first:], count, first=first) == expected
+
+    @pytest.mark.parametrize("cert", [TermsDoNotVanish(4, 1.0), EventuallyIncreasing(4, 1.5)])
+    def test_first_past_start_refused(self, cert):
+        with pytest.raises(CertificateError, match="terms begin at index 5"):
+            verify_certificate(cert, itertools.repeat(1.0), 32, first=5)
+
+    def test_partial_sum_claim_only_from_term_zero(self):
+        verify_certificate(PartialSumExceeds(10.0, 9), itertools.repeat(1.0), 8)
+        with pytest.raises(CertificateError, match="from term 0"):
+            verify_certificate(PartialSumExceeds(10.0, 9), itertools.repeat(1.0), 8, first=1)
+
+    def test_violation_at_first_ratio_past_start_caught(self):
+        # ratio 1.1 from term 6 to 7, 2 everywhere else: only the first
+        # ratio past the start breaks the claim
+        terms = [2.0**n for n in range(7)] + [1.1 * 2.0**n for n in range(6, 40)]
+        with pytest.raises(CertificateError, match="ratio at term 7 drops"):
+            verify_certificate(EventuallyIncreasing(6, 2.0), iter(terms[6:]), 16, first=6)
+        verify_certificate(EventuallyIncreasing(7, 2.0), iter(terms[7:]), 16, first=7)
+
+    @pytest.mark.parametrize("count, start, first", [(48, 2, 2), (48, 40, 40), (10, 5, 0)])
+    def test_reads_exactly_the_window(self, count, start, first):
+        pulled = []
+        terms = (pulled.append(n) or 2.0**n for n in itertools.count(first))
+        verify_certificate(EventuallyIncreasing(start, 1.5), terms, count, first=first)
+        assert pulled == list(range(first, max(count, start + 17)))
 
 
 class TestCertificates:

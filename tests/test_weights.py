@@ -97,8 +97,11 @@ class TestNodeNorm:
         assert w.aggregate(0).certificate == TermsDoNotVanish(start=0, lower_bound=1.0)
 
     def test_aggregate_cached(self):
-        w = OmegaShiftWeights()
-        assert w.aggregate(OmegaVertex(3)) is w.aggregate(OmegaVertex(3))
+        # Summed aggregates are cached; closed forms are recomputed.
+        w = star_with_unit_weights()
+        assert w.aggregate(0) is w.aggregate(0)
+        table = TableWeights(finite_tree([None, 0, 0]), {1: 1.0, 2: 2.0})
+        assert table.aggregate(0) is table.aggregate(0)
 
 
 class TestOmegaWeights:
@@ -295,6 +298,16 @@ class TestChildTerms:
             for u in tree.vertices():
                 assert list(mu.child_terms(u)) == weight_by_weight(mu, u, 64)
             assert list(w.child_terms(0)) == [abs(w.weight(v)) ** 2 for v in (1, 4)]
+
+    @pytest.mark.parametrize("first", [1, 13, 71])
+    def test_from_first_index_drops_the_earlier_children(self, first):
+        tree = descendant_subtree(omega_tree(), OmegaVertex(0, (2,)))
+        for w in (OmegaShiftWeights(tree), aluthge_weights(OmegaShiftWeights(tree), 0.02)):
+            for u in (OmegaVertex(0, (2,)), OmegaVertex(2, (2, 0, 5))):
+                expected = list(itertools.islice(w.child_terms(u), first, first + 32))
+                assert list(itertools.islice(w.child_terms(u, first), 32)) == expected
+        w = TableWeights(finite_tree([None, 0, 0, 0]), {1: 1.0, 2: 2.0, 3: 3.0})
+        assert list(w.child_terms(0, first)) == [4.0, 9.0][first - 1 :]
 
     def test_infinite_parent_norm_names_first_child(self):
         mu = aluthge_weights(star_with_unit_weights(), 0.5)
