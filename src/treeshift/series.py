@@ -122,12 +122,13 @@ def verify_certificate(
     index is checked on the window ``[start, max(count, start + 17))``, so it
     always holds 16 terms (or ratios) past the start; ``first`` may lie
     anywhere from 0 to ``start``, and the terms before ``first`` are never
-    computed.  An ``EventuallyIncreasing`` check ends at the first non-finite
-    term it reads, so with ``first`` past such a term the check no longer
-    stops there.  A partial-sum claim is checked from index 0 only.  Raises
-    :class:`CertificateError` on any contradiction.  Passing proves nothing
-    beyond the sampled window; the analytic validity of the claim is the
-    caller's responsibility.
+    computed.  A NaN term inside the window contradicts either claim.  An
+    ``EventuallyIncreasing`` check ends at the first infinite term it reads,
+    and at a NaN before the start, so with ``first`` past such a term the
+    check no longer stops there.  A partial-sum claim is checked from index
+    0 only.  Raises :class:`CertificateError` on any contradiction.  Passing
+    proves nothing beyond the sampled window; the analytic validity of the
+    claim is the caller's responsibility.
     """
     if isinstance(certificate, PartialSumExceeds):
         if first != 0:
@@ -158,7 +159,9 @@ def verify_certificate(
         for n, term in window:
             if n >= start:
                 seen += 1
-                if term < certificate.lower_bound * (1 - _REL_SLACK):
+                if not term >= certificate.lower_bound * (1 - _REL_SLACK):
+                    if math.isnan(term):
+                        raise CertificateError(f"term {n} is not a number")
                     raise CertificateError(
                         f"term {n} = {term} below claimed bound {certificate.lower_bound}"
                     )
@@ -169,6 +172,8 @@ def verify_certificate(
     checked = 0
     for n, term in window:
         if not math.isfinite(term):
+            if n >= start and math.isnan(term):
+                raise CertificateError(f"term {n} is not a number")
             break
         if n == start and term <= 0:
             raise CertificateError("term at the start index must be positive")

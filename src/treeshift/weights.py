@@ -6,10 +6,17 @@ weights; derived systems divide by parent norms (polar factor) or scale by a
 power of the child/parent norm ratio (Aluthge transform).  Aggregates go
 through a system's own closed form, exact finite sums, or the series engine,
 in that order; only the last two are cached.
+
+A transformed system reads its base's children through one hook,
+``child_norms_and_weights(u, first)``, a lazy stream of ``(node norm,
+weight)`` pairs.  By default it builds each child and asks for both; the
+built-in family computes them by digit arithmetic from the parent's digit
+sum, with the same float expressions and without building any child.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Mapping, Optional
 
@@ -92,6 +99,13 @@ class WeightSystem:
         """Squared weights of the children of ``u``, in enumeration order
         from child index ``first`` on."""
         return (abs(self.weight(v)) ** 2 for v in self.tree.children(u, first))
+
+    def child_norms_and_weights(self, u, first: int = 0) -> Iterator[tuple[float, complex]]:
+        """``(finite_norm(v), weight(v))`` for each child ``v`` of ``u``, in
+        enumeration order from child index ``first`` on; lazy, so each pair
+        is computed when it is read."""
+        for v in self.tree.children(u, first):
+            yield self.finite_norm(v), self.weight(v)
 
     def node_norm(self, u) -> float:
         """Norm of the shift at the basis vector of ``u``: the square root of
@@ -199,6 +213,16 @@ class OmegaShiftWeights(WeightSystem):
     def _closed_form(self, u):
         return series.closed_form_aggregate(1.0, 4.0**u.digit_sum)
 
+    def child_norms_and_weights(self, u, first=0):
+        # Child n of u has digit sum S(u) + n and last digit n, so its node
+        # norm and weight are the float expressions of ``_closed_form`` and
+        # ``weight`` at that child, evaluated without building it.
+        self.tree.require_vertex(u)
+        s = u.digit_sum
+        inv_sq = series.inverse_square_sum().value
+        for n in itertools.count(first):
+            yield math.sqrt(4.0 ** (s + n) * inv_sq), complex(2.0**s / (n + 1))
+
     def _aluthge_closed_form(self, u, t):
         # squared transformed child weights are 4^S(u) * 4^(t n) / (n + 1)^2;
         # the ratio certificate does not depend on the 4^S(u) scale
@@ -269,22 +293,24 @@ class AluthgeWeights(WeightSystem):
 
     def weight(self, v) -> complex:
         self._require_non_root(v)
-        return self._scaled(v, self.base.finite_norm(self.tree.parent(v), vertex=v))
+        parent_norm = self.base.finite_norm(self.tree.parent(v), vertex=v)
+        return self._scaled(self.base.finite_norm(v), parent_norm, self.base.weight(v))
 
     def child_terms(self, u, first=0):
-        # The parent norm is the same for every child: take it once, on the
-        # first child yielded, so an infinite one still names that child.
-        parent_norm = None
+        # The parent norm is the same for every child: take it once, before
+        # the first child's norm, so an infinite one still names that child.
         for v in self.tree.children(u, first):
-            if parent_norm is None:
-                parent_norm = self.base.finite_norm(u, vertex=v)
-            yield abs(self._scaled(v, parent_norm)) ** 2
+            parent_norm = self.base.finite_norm(u, vertex=v)
+            break
+        else:
+            return
+        for child_norm, weight in self.base.child_norms_and_weights(u, first):
+            yield abs(self._scaled(child_norm, parent_norm, weight)) ** 2
 
-    def _scaled(self, v, parent_norm: float) -> complex:
-        child_norm = self.base.finite_norm(v)
+    def _scaled(self, child_norm: float, parent_norm: float, weight: complex) -> complex:
         if parent_norm == 0.0:
             return 0j
-        return (child_norm / parent_norm) ** self.t * complex(self.base.weight(v))
+        return (child_norm / parent_norm) ** self.t * complex(weight)
 
     def _closed_form(self, u):
         return self.base._aluthge_closed_form(u, self.t)

@@ -162,21 +162,24 @@ class TestTrivialityWork:
     # [start, max(48, start + 17)) and nothing before it.
     WINDOW = SampleWindow(depth_bound=2, digit_bound=3)
 
+    # The family streams each child's (norm, weight) pair by digit arithmetic
+    # without calling ``weight``, so the count is taken on that stream.
     @pytest.mark.parametrize("t, weight_calls", [(0.5, 966), (0.1, 735), (0.02, 357)])
     def test_weight_calls_and_no_cached_closed_forms(self, monkeypatch, t, weight_calls):
         w = OmegaShiftWeights(descendant_subtree(omega_tree(), OmegaVertex(0, (2,))))
-        calls = []
-        weight = OmegaShiftWeights.weight
+        pairs = []
+        stream = OmegaShiftWeights.child_norms_and_weights
 
-        def counting(self, v):
-            calls.append(v)
-            return weight(self, v)
+        def counting(self, u, first=0):
+            for pair in stream(self, u, first):
+                pairs.append(pair)
+                yield pair
 
-        monkeypatch.setattr(OmegaShiftWeights, "weight", counting)
+        monkeypatch.setattr(OmegaShiftWeights, "child_norms_and_weights", counting)
         report = certify_trivial_aluthge_domain(w, t, window=self.WINDOW)
         assert report.status == "certified-family"
         start = report.family_certificate.start
-        assert len(calls) == 21 * (max(48, start + 17) - start) == weight_calls
+        assert len(pairs) == 21 * (max(48, start + 17) - start) == weight_calls
         assert w._aggregates == {}
 
     def test_violation_at_first_ratio_past_start_caught(self):

@@ -49,6 +49,14 @@ GOLDEN = [
         "6691bff8f159644fceeaea9092005fc46a9bf751e125747cd23405d34777ae5e",
     ),
     (["aluthge-weights", "@descendant", "--t", "0.5"], "f5f3401f101e2c3223776e636a9aed3d90e5f3368380ae04b177c5853bff03f7"),
+    # the rest of the family-analyze t schedule; at t = 0.001 the child norms
+    # overflow past a digit sum of 511 and the report is a numerical failure
+    (["analyze", "@paper", "--t", "0.001"], "e3fec6edceaf48e6dab80caa50bbe7e397620d6df8b9bcdebdf39dd77901af1f"),
+    (["analyze", "@paper", "--t", "0.9"], "1ea9fdbede6c153b311b5d08725e061f3334ec8fbe5c01a1b95282fe6bd23b7c"),
+    (
+        ["analyze", "@descendant", "--t", "0.1", "--depth", "2", "--digits", "3"],
+        "45ae1675c4fb3b1c6e90e40170ec1dadb8de3c2fa86801c75ff764b36c6ea08a",
+    ),
     # per-vertex margins, PolarWeights and AluthgeWeights off the built-in family
     (["analyze", "@nat_geometric", "--t", "0.5"], "48f72dec82c9206db7d9867b45c111a7b19711393f21874a98b0dd7b0a910e6e"),
     (["aluthge-weights", "@nat_geometric", "--t", "0.5"], "7858bed25b24afa0cc03ac03d1f93b855ab42b5d9533a4b3323fc23c85746c02"),

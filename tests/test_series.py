@@ -143,6 +143,45 @@ class TestCertificateWindow:
             verify_certificate(EventuallyIncreasing(10, 1.5), self.growth_then_drop(26), 12)
 
 
+class TestNanInWindow:
+    # A NaN term inside [start, end) contradicts either claim, so it cannot
+    # end an eventual-ratio check early and hide the terms after it.
+    @pytest.mark.parametrize(
+        "cert", [EventuallyIncreasing(0, 1.5), TermsDoNotVanish(0, 0.5)], ids=["ratio", "bound"]
+    )
+    def test_nan_after_start_refused(self, cert):
+        terms = iter([1.0, 2.0, math.nan] + [0.0] * 60)
+        with pytest.raises(CertificateError, match="^term 2 is not a number$"):
+            verify_certificate(cert, terms, 48)
+
+    @pytest.mark.parametrize(
+        "cert", [EventuallyIncreasing(5, 1.5), TermsDoNotVanish(5, 0.5)], ids=["ratio", "bound"]
+    )
+    def test_nan_at_start_refused_from_any_first(self, cert):
+        terms = [2.0**n for n in range(5)] + [math.nan] + [2.0**n for n in range(6, 64)]
+        for first in range(6):
+            with pytest.raises(CertificateError, match="^term 5 is not a number$"):
+                verify_certificate(cert, iter(terms[first:]), 48, first=first)
+
+    def test_nan_before_start_keeps_its_outcome(self):
+        # the claims say nothing before their start: the bound check skips
+        # such a term, and the ratio check still ends there
+        terms = [1.0, math.nan] + [2.0**n for n in range(2, 64)]
+        verify_certificate(TermsDoNotVanish(2, 0.5), iter(terms), 48)
+        with pytest.raises(CertificateError, match="^stream ended before the claimed start index$"):
+            verify_certificate(EventuallyIncreasing(2, 1.5), iter(terms), 48)
+
+    def test_nan_past_window_not_read(self):
+        terms = [2.0**n for n in range(48)] + [math.nan]
+        verify_certificate(EventuallyIncreasing(0, 1.5), iter(terms), 48)
+        verify_certificate(TermsDoNotVanish(0, 0.5), iter(terms), 48)
+
+    def test_growth_into_infinity_accepted(self):
+        terms = [2.0**n for n in range(8)] + [math.inf] * 60
+        verify_certificate(EventuallyIncreasing(0, 1.5), iter(terms), 48)
+        verify_certificate(TermsDoNotVanish(0, 0.5), iter(terms), 48)
+
+
 def outcome(certificate, terms, count, first=0):
     """The error message ``verify_certificate`` raises, or None when it passes."""
     try:
