@@ -17,7 +17,7 @@ from . import series
 from .errors import NoWitnessError
 from .operators import StructuredVector, apply_adjoint, basis_vector, domain_check
 from .trees import SampleWindow, format_vertex, sample_vertices
-from .weights import OmegaShiftWeights, WeightSystem, aluthge_weights
+from .weights import WeightSystem, aluthge_weights
 
 __all__ = [
     "DensityReport",
@@ -109,11 +109,10 @@ def check_hyponormal(
 ) -> HyponormalityReport:
     """Two per-vertex conditions: zero-norm children carry zero weight, and the
     sum over active children of |weight|^2 / child-norm^2 stays at most 1."""
-    if isinstance(w, OmegaShiftWeights):
-        policy = series.SumPolicy(max_terms=48, tail_bound=w.margin_tail_bound)
-        verdict = series.sum_series(w.margin_terms(), policy)
-        entry = MarginEntry(verdict.value, verdict.tail_bound, "closed-form-tail")
-        certified = verdict.value + verdict.tail_bound <= 1.0
+    family = w._family_margin()
+    if family is not None:
+        entry = MarginEntry(family.value, family.tail_bound, "closed-form-tail")
+        certified = family.value + family.tail_bound <= 1.0
         return HyponormalityReport(
             verdict="hyponormal" if certified else "unknown",
             family_level=True,
@@ -196,15 +195,10 @@ def certify_trivial_aluthge_domain(
     mu = aluthge_weights(w, t)
     vertices = _default_sample(w, sample, window)
     family_cert = None
-    if w.closed_form_total and vertices:
-        closed = mu.aggregate(vertices[0])
-        if isinstance(closed, series.Diverges):
-            family_cert = closed.certificate
-
     per_vertex = {}
     heuristic = False
     inconclusive = False
-    for u in vertices:
+    for i, u in enumerate(vertices):
         agg = mu.aggregate(u)
         if isinstance(agg, series.Converges):
             return TrivialityReport(
@@ -214,6 +208,8 @@ def certify_trivial_aluthge_domain(
             inconclusive = True
             continue
         cert = agg.certificate
+        if i == 0 and w.closed_form_total:
+            family_cert = cert
         if cert.heuristic:
             heuristic = True
         else:
@@ -271,13 +267,12 @@ def nonclosability_witness(
 ) -> NonClosabilityWitness:
     """Build the divergent pairing-sum witness for the built-in family.
 
-    Requires t in (0, 1) and a vector not annihilated by the adjoint shift.
-    The squared pairing against the k-th probe vertex is
-    4^((1-t) k) / ((k+1)^2 g^4) times |adjoint coefficient|^2, with g^2 the
-    inverse-square constant, so consecutive terms grow like 4^(1-t).
+    Requires a system that gives its pairing growth (``_pairing_growth``),
+    t in (0, 1) and a vector not annihilated by the adjoint shift.  The
+    squared pairing against the k-th probe vertex is the system's term at k
+    times |adjoint coefficient|^2.
     """
-    if not isinstance(w, OmegaShiftWeights):
-        raise ValueError("the witness construction needs the built-in branching family")
+    pairing, ratio_limit = w._pairing_growth(t)
     if not 0 < t < 1:
         raise ValueError("the witness needs t strictly inside (0, 1)")
     image = apply_adjoint(w, f)
@@ -287,11 +282,9 @@ def nonclosability_witness(
     base = support[0]
     coeff = image.e[base]
     base_sq = abs(coeff) ** 2
-    inv_sq = series.inverse_square_sum().value
-    g4 = inv_sq * inv_sq
 
     def pairing_term(k: int) -> float:
-        return 4.0 ** ((1 - t) * k) / ((k + 1) ** 2 * g4) * base_sq
+        return pairing(k) * base_sq
 
     term_list = []
     sums = []
@@ -307,7 +300,6 @@ def nonclosability_witness(
         if crossing is None and total > threshold:
             crossing = k
 
-    ratio_limit = 4.0 ** (1 - t)
     certificate = series.closed_form_aggregate(ratio_limit).certificate
     # The claim's window may start past the K reported terms (t near 1), so
     # check it on a lazy stream rather than on the reported terms.

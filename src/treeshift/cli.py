@@ -380,8 +380,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if args.t >= 1:
-        raise ParseError("the witness needs t in (0, 1); t = 1 is excluded")
     t = _check_t(args.t, open_top=True)
     v = parse_vertex({}, None, args.vertex)
     if not isinstance(v, OmegaVertex):

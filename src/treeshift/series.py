@@ -122,13 +122,15 @@ def verify_certificate(
     index is checked on the window ``[start, max(count, start + 17))``, so it
     always holds 16 terms (or ratios) past the start; ``first`` may lie
     anywhere from 0 to ``start``, and the terms before ``first`` are never
-    computed.  A NaN term inside the window contradicts either claim.  An
-    ``EventuallyIncreasing`` check ends at the first infinite term it reads,
-    and at a NaN before the start, so with ``first`` past such a term the
-    check no longer stops there.  A partial-sum claim is checked from index
-    0 only.  Raises :class:`CertificateError` on any contradiction.  Passing
-    proves nothing beyond the sampled window; the analytic validity of the
-    claim is the caller's responsibility.
+    computed.  A NaN term inside the window contradicts either claim; an
+    ``EventuallyIncreasing`` check ends at a NaN before the start, so with
+    ``first`` past such a term the check no longer stops there.  An infinite
+    term compares as a number: a stream that grows into ``+inf`` and stays
+    there passes, and a finite term after ``+inf`` drops below the claimed
+    ratio.  A partial-sum claim is checked from index 0 only.  Raises
+    :class:`CertificateError` on any contradiction.  Passing proves nothing
+    beyond the sampled window; the analytic validity of the claim is the
+    caller's responsibility.
     """
     if isinstance(certificate, PartialSumExceeds):
         if first != 0:
@@ -171,8 +173,8 @@ def verify_certificate(
     prev = None
     checked = 0
     for n, term in window:
-        if not math.isfinite(term):
-            if n >= start and math.isnan(term):
+        if math.isnan(term):
+            if n >= start:
                 raise CertificateError(f"term {n} is not a number")
             break
         if n == start and term <= 0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from . import series
 from .errors import EvaluationError, StructureError
@@ -40,12 +40,16 @@ __all__ = [
 class WeightSystem:
     """Base class: weights live on non-root vertices of ``tree``.
 
-    Subclasses with analytic aggregates override ``_closed_form`` (their own
-    aggregates) and ``_aluthge_closed_form`` (those of their transforms), and
-    set ``closed_form_total`` when the closed forms cover every vertex.
+    A family states its analytic facts through hooks that the analysis layer
+    reads without naming a class; the built-in family overrides all six:
+    ``_closed_form`` and ``_aluthge_closed_form`` (aggregates of the system
+    and of its transforms), ``closed_form_total`` (they cover every vertex),
+    ``child_norms_and_weights`` (the children's norms and weights, streamed),
+    ``_family_margin`` (the vertex-independent hyponormality margin, or
+    ``None``) and ``_pairing_growth`` (the witness's pairing terms and their
+    ratio limit; the base class refuses the witness).
     """
 
-    kind = "user"
     closed_form_total = False
 
     def __init__(self, tree: DirectedTree, policy: series.SumPolicy = series.DEFAULT_POLICY):
@@ -69,6 +73,12 @@ class WeightSystem:
 
     def _divergence_claim(self, u) -> Optional[series.DivergenceCertificate]:
         return None
+
+    def _family_margin(self) -> Optional[series.Converges]:
+        return None
+
+    def _pairing_growth(self, t: float) -> tuple[Callable[[int], float], float]:
+        raise ValueError("the witness construction needs the built-in branching family")
 
     def aggregate(self, u) -> series.SeriesVerdict:
         """Verdict for the sum of squared child weights at ``u``.
@@ -126,15 +136,9 @@ class WeightSystem:
             raise EvaluationError(f"node norm at {u!r} is {state}", vertex=named)
         return s
 
-    def is_active(self, u) -> bool:
-        """Whether the shift sends the basis vector at ``u`` to a nonzero vector."""
-        return self.finite_norm(u) > 0.0
-
 
 class TableWeights(WeightSystem):
     """Weights from an explicit table; must cover exactly the non-root vertices."""
-
-    kind = "table"
 
     def __init__(self, tree: DirectedTree, table: Mapping):
         super().__init__(tree)
@@ -164,8 +168,6 @@ class CallableWeights(WeightSystem):
     squared-weight aggregate at that vertex diverges; the claim is verified
     against the actual child stream before being endorsed.
     """
-
-    kind = "callable"
 
     def __init__(self, tree, fn, divergence_claims=None, policy=series.DEFAULT_POLICY):
         super().__init__(tree, policy)
@@ -198,7 +200,6 @@ class OmegaShiftWeights(WeightSystem):
     everywhere, with an exact closed form.
     """
 
-    kind = "omega-shift"
     closed_form_total = True
 
     def __init__(self, tree: Optional[DirectedTree] = None):
@@ -231,6 +232,22 @@ class OmegaShiftWeights(WeightSystem):
             raise ArithmeticError(f"4^t rounds to 1 at t={t}; t too small for floats")
         return series.closed_form_aggregate(growth)
 
+    def _family_margin(self):
+        policy = series.SumPolicy(max_terms=48, tail_bound=self.margin_tail_bound)
+        return series.sum_series(self.margin_terms(), policy)
+
+    def _pairing_growth(self, t):
+        # With g^2 the inverse-square constant, the k-th probe pairs to
+        # 4^((1-t) k) / ((k+1)^2 g^4) per unit of |adjoint coefficient|^2, so
+        # consecutive terms grow like 4^(1-t).
+        inv_sq = series.inverse_square_sum().value
+        g4 = inv_sq * inv_sq
+
+        def term(k: int) -> float:
+            return 4.0 ** ((1 - t) * k) / ((k + 1) ** 2 * g4)
+
+        return term, 4.0 ** (1 - t)
+
     def margin_terms(self):
         """Terms of the per-vertex hyponormality margin, in child-digit order.
 
@@ -239,14 +256,7 @@ class OmegaShiftWeights(WeightSystem):
         vertex.
         """
         inv_sq = series.inverse_square_sum().value
-
-        def stream():
-            n = 0
-            while True:
-                yield 1.0 / ((n + 1) ** 2 * 4.0**n * inv_sq)
-                n += 1
-
-        return stream()
+        return (1.0 / ((n + 1) ** 2 * 4.0**n * inv_sq) for n in itertools.count())
 
     def margin_tail_bound(self, n: int) -> float:
         """Dominates the margin tail past the first ``n`` terms (geometric bound)."""
@@ -261,8 +271,6 @@ class PolarWeights(WeightSystem):
     is an evaluation error naming the vertex.  The aggregate at any vertex
     with finite positive norm is exactly 1.
     """
-
-    kind = "polar"
 
     def __init__(self, base: WeightSystem):
         super().__init__(base.tree)
@@ -281,8 +289,6 @@ class PolarWeights(WeightSystem):
 
 class AluthgeWeights(WeightSystem):
     """Transformed weights: base weight times (child norm / parent norm)^t."""
-
-    kind = "aluthge"
 
     def __init__(self, base: WeightSystem, t: float):
         if not 0 < t <= 1:

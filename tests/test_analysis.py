@@ -250,6 +250,36 @@ class TestWitness:
         assert witness.crossing_index is not None
 
 
+def family_weight(v):
+    return 2.0 ** (v.digit_sum - v.last_digit) / (v.last_digit + 1)
+
+
+class TestNonFamilySystem:
+    # The family's weights as a plain callable system: the same operator, but
+    # without the family's hooks, so no family-level claim may come out.
+    def test_margin_not_family_level(self):
+        w = CallableWeights(omega_tree(), family_weight)
+        report = check_hyponormal(w, sample=[OmegaVertex(0)])
+        assert not report.family_level
+        assert "family" not in report.margins
+
+    @pytest.mark.parametrize(
+        "t, f",
+        [
+            (0.5, basis_vector(OmegaVertex(1))),
+            # annihilated by the adjoint, which would raise NoWitnessError
+            (0.5, basis_vector(OmegaVertex(0).child(0)) + basis_vector(OmegaVertex(0).child(1)).scaled(-2.0)),
+            # outside (0, 1), which would raise the t error
+            (1.0, basis_vector(OmegaVertex(1))),
+        ],
+        ids=["normal", "kernel", "t-one"],
+    )
+    def test_witness_refused_first(self, t, f):
+        w = CallableWeights(omega_tree(), family_weight)
+        with pytest.raises(ValueError, match="^the witness construction needs the built-in branching family$"):
+            nonclosability_witness(w, t, f)
+
+
 class TestBranching:
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     def test_random_finite_trees_all_in(self, t):

@@ -182,6 +182,20 @@ class TestNanInWindow:
         verify_certificate(TermsDoNotVanish(0, 0.5), iter(terms), 48)
 
 
+class TestInfinityInWindow:
+    # +inf compares as a number, so it cannot end a ratio check early and
+    # hide the finite terms after it.
+    def test_finite_term_after_infinity_refused(self):
+        terms = iter([1.0, 2.0, math.inf] + [0.0] * 60)
+        with pytest.raises(CertificateError, match="^ratio at term 3 drops below the claimed 1.5$"):
+            verify_certificate(EventuallyIncreasing(0, 1.5), terms, 48)
+
+    def test_infinity_at_start_compared(self):
+        terms = iter([math.inf, 2.0] + [0.0] * 60)
+        with pytest.raises(CertificateError, match="^ratio at term 1 drops below the claimed 1.5$"):
+            verify_certificate(EventuallyIncreasing(0, 1.5), terms, 48)
+
+
 def outcome(certificate, terms, count, first=0):
     """The error message ``verify_certificate`` raises, or None when it passes."""
     try:
