@@ -16,8 +16,8 @@ from typing import Optional
 from . import series
 from .errors import NoWitnessError
 from .operators import StructuredVector, apply_adjoint, basis_vector, domain_check
-from .trees import SampleWindow, format_vertex, sample_vertices
-from .weights import WeightSystem, aluthge_weights
+from .trees import SampleWindow, format_vertex, nat_path, sample_vertices
+from .weights import CallableWeights, WeightSystem, aluthge_weights
 
 __all__ = [
     "DensityReport",
@@ -190,8 +190,6 @@ def certify_trivial_aluthge_domain(
     Family-level certification needs closed forms at every vertex; sampled
     analytic certificates are re-verified against their term streams.
     """
-    if not 0 < t <= 1:
-        raise ValueError("t must lie in (0, 1]")
     mu = aluthge_weights(w, t)
     vertices = _default_sample(w, sample, window)
     family_cert = None
@@ -436,9 +434,6 @@ def strict_inclusion_example(t: Fraction = Fraction(1, 2), terms: int = 64) -> S
     # Dual route: the generic float machinery must agree that every
     # transformed weight vanishes (odd vertices have zero child norm, even
     # vertices zero weight).
-    from .trees import nat_path
-    from .weights import CallableWeights
-
     float_system = CallableWeights(nat_path(), strict_inclusion_weight(m))
     mu = aluthge_weights(float_system, float(t))
     transformed_zero = all(mu.weight(v) == 0 for v in range(1, 2 * min(terms, 24)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -174,7 +175,7 @@ def _vertex_label(meta: dict, v) -> str:
     return format_vertex(v)
 
 
-def parse_vertex(meta: dict, tree, text: str):
+def parse_vertex(meta: dict, text: str):
     """Selector syntax: 'level:d1,d2,...' for digit-word vertices, an index or
     a declared name otherwise."""
     names = meta.get("names")
@@ -226,9 +227,17 @@ def emit(report: dict, summary_lines: list[str]) -> None:
 # -- subcommands -----------------------------------------------------------
 
 
+def _check_at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise ParseError(f"{flag} must be at least {low}, got {value}")
+    return value
+
+
 def _window_from(args) -> SampleWindow:
     return SampleWindow(
-        digit_bound=args.digits, depth_bound=args.depth, seed=args.sample_seed
+        digit_bound=_check_at_least(args.digits, 0, "--digits"),
+        depth_bound=_check_at_least(args.depth, 0, "--depth"),
+        seed=args.sample_seed,
     )
 
 
@@ -300,12 +309,13 @@ def cmd_analyze(args) -> int:
 def cmd_aluthge_weights(args) -> int:
     tree, weights, meta = load_tree_spec(args.file)
     t = _check_t(args.t)
+    limit = _check_at_least(args.limit, 0, "--limit")
     if args.vertex:
-        chosen = [parse_vertex(meta, tree, text) for text in args.vertex]
+        chosen = [parse_vertex(meta, text) for text in args.vertex]
     else:
         window = _window_from(args)
         chosen = [v for v in sample_vertices(tree, window) if tree.parent(v) is not None]
-        chosen = chosen[: args.limit]
+        chosen = chosen[:limit]
     mu = aluthge_weights(weights, t)
     pi = polar_weights(weights)
     rows = []
@@ -336,6 +346,7 @@ def cmd_oracle(args) -> int:
     if not t_values:
         raise ParseError("--t needs at least one value")
     if args.random is not None:
+        _check_at_least(args.random, 1, "--random")
         instances = oracle.random_tree_corpus(
             args.random, args.seed, complex_count=max(1, args.random // 10)
         )
@@ -381,7 +392,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_witness(args) -> int:
     t = _check_t(args.t, open_top=True)
-    v = parse_vertex({}, None, args.vertex)
+    _check_at_least(args.K, 0, "--K")
+    if not math.isfinite(args.threshold):
+        raise ParseError(f"--threshold must be finite, got {args.threshold}")
+    v = parse_vertex({}, args.vertex)
     if not isinstance(v, OmegaVertex):
         raise ParseError("witness vertices use the 'level:d1,d2' selector")
     weights = OmegaShiftWeights()
@@ -460,23 +474,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except NoWitnessError as exc:
         sys.stderr.write(f"no witness: {exc}\n")
         return 2
     except (OracleError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    except TreeShiftError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except ValueError as exc:
+    except (TreeShiftError, ValueError) as exc:  # ParseError included
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

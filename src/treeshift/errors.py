@@ -2,7 +2,11 @@
 
 
 class TreeShiftError(Exception):
-    """Base class for package-specific errors."""
+    """Base class for package-specific errors; ``vertex`` is where one arose, if known."""
+
+    def __init__(self, message, vertex=None):
+        super().__init__(message)
+        self.vertex = vertex
 
 
 class StructureError(TreeShiftError):
@@ -20,10 +24,6 @@ class CertificateError(TreeShiftError):
 class EvaluationError(TreeShiftError):
     """A derived weight could not be evaluated at a vertex."""
 
-    def __init__(self, message, vertex=None):
-        super().__init__(message)
-        self.vertex = vertex
-
 
 class OutOfDomainError(TreeShiftError):
     """Operator applied to a vector outside its domain.
@@ -33,17 +33,12 @@ class OutOfDomainError(TreeShiftError):
     """
 
     def __init__(self, message, vertex=None, certificate=None):
-        super().__init__(message)
-        self.vertex = vertex
+        super().__init__(message, vertex)
         self.certificate = certificate
 
 
 class UnsupportedRepresentationError(TreeShiftError):
     """Bundle expansion requested at a vertex with infinitely many children."""
-
-    def __init__(self, message, vertex=None):
-        super().__init__(message)
-        self.vertex = vertex
 
 
 class MixedBasisError(TreeShiftError):
@@ -52,10 +47,6 @@ class MixedBasisError(TreeShiftError):
 
 class SingularWeightError(TreeShiftError):
     """0/0 form in the adjoint-transform formula; no limit is guessed."""
-
-    def __init__(self, message, vertex=None):
-        super().__init__(message)
-        self.vertex = vertex
 
 
 class NoWitnessError(TreeShiftError):

@@ -107,9 +107,6 @@ class StructuredVector:
     def support(self):
         return sorted(self.e, key=_sort_key)
 
-    def bundle_support(self):
-        return sorted(self.b, key=_sort_key)
-
     # -- geometry --------------------------------------------------------
 
     def inner(self, other: "StructuredVector") -> complex:

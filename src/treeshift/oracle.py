@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-12
+_HYPONORMAL_TOL = 1e-9  # T*T - T T* counts as positive down to this eigenvalue
 
 
 @dataclass
@@ -74,26 +75,26 @@ class PolarFactors:
     """SVD-based polar decomposition T = U P with P = (T*T)^(1/2)."""
 
     u_factor: np.ndarray
-    p_factor: np.ndarray
     singular_values: np.ndarray
     left: np.ndarray
     right: np.ndarray  # columns are right singular vectors
-    cutoff: float
+
+    @property
+    def p_factor(self) -> np.ndarray:
+        """P, computed from the factorization on each read."""
+        return psd_power(self, 1.0)
 
 
-def polar(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> PolarFactors:
+def polar(matrix: np.ndarray) -> PolarFactors:
     matrix = np.asarray(matrix, dtype=np.complex128)
     try:
         left, sigma, right_h = np.linalg.svd(matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise OracleError(f"SVD failed: {exc}") from exc
-    cutoff = rank_tol * (sigma[0] if sigma.size else 0.0)
-    keep = sigma > cutoff
+    keep = sigma > DEFAULT_RANK_TOL * (sigma[0] if sigma.size else 0.0)
     sigma_eff = np.where(keep, sigma, 0.0)
-    right = right_h.conj().T
-    p_factor = (right * sigma_eff) @ right_h
     u_factor = (left * keep.astype(np.float64)) @ right_h
-    return PolarFactors(u_factor, p_factor, sigma_eff, left, right, cutoff)
+    return PolarFactors(u_factor, sigma_eff, left, right_h.conj().T)
 
 
 def psd_power(factors: PolarFactors, exponent: float) -> np.ndarray:
@@ -112,11 +113,11 @@ def left_psd_power(factors: PolarFactors, exponent: float) -> np.ndarray:
     return (factors.left * powered) @ factors.left.conj().T
 
 
-def matrix_aluthge(matrix: np.ndarray, t: float, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def matrix_aluthge(matrix: np.ndarray, t: float) -> np.ndarray:
     """P^t U P^(1-t) for the polar factors of the matrix; t in (0, 1]."""
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
-    return _transform(polar(matrix, rank_tol), t)
+    return _transform(polar(matrix), t)
 
 
 def _transform(factors: PolarFactors, t: float) -> np.ndarray:
@@ -167,7 +168,7 @@ class ComparisonReport:
         values += list(self.aluthge.values())
         values += list(self.adjoint_aluthge.values())
         values += list(self.adjoint_modulus.values())
-        return max(values) if values else 0.0
+        return max(values)
 
     def to_dict(self) -> dict:
         return {
@@ -203,8 +204,6 @@ def compare_with_formula(
     tree: Optional[DirectedTree] = None,
     t_values: Sequence[float] = (0.5,),
     alphas: Sequence[float] = (0.5, 1.0, 2.0),
-    rank_tol: float = DEFAULT_RANK_TOL,
-    hyponormal_tol: float = 1e-9,
 ) -> ComparisonReport:
     """Run every oracle-vs-formula comparison on one finite tree.
 
@@ -219,7 +218,7 @@ def compare_with_formula(
 
     dense = assemble(w, tree)
     tree = tree if tree is not None else w.tree
-    factors = polar(dense.matrix, rank_tol)
+    factors = polar(dense.matrix)
     report = ComparisonReport(n=dense.n)
 
     pi_matrix = assemble(polar_weights(w), tree).matrix
@@ -235,7 +234,7 @@ def compare_with_formula(
         formula_side = projection_sum_matrix(w, dense, alpha)
         report.adjoint_modulus[alpha] = _max_abs(oracle_side - formula_side)
 
-    adjoint_factors = polar(dense.matrix.conj().T, rank_tol)
+    adjoint_factors = polar(dense.matrix.conj().T)
     for t in t_values:
         adjoint_transform = _transform(adjoint_factors, t)
         formula = np.zeros_like(adjoint_transform)
@@ -254,7 +253,7 @@ def compare_with_formula(
         report.adjoint_aluthge[t] = _max_abs(formula)
 
     report.dense_defect = dense_hyponormal_defect(dense.matrix)
-    report.hyponormal_dense = report.dense_defect >= -hyponormal_tol
+    report.hyponormal_dense = report.dense_defect >= -_HYPONORMAL_TOL
     report.hyponormal_formula = check_hyponormal(w).verdict == "hyponormal"
     return report
 
@@ -263,13 +262,12 @@ def random_tree_corpus(
     count: int,
     seed: int,
     max_vertices: int = 40,
-    weight_range: tuple[float, float] = (0.1, 4.0),
     complex_count: int = 0,
 ):
-    """Seeded corpus of random finite trees with tabulated weights.
+    """Seeded corpus of random finite trees, weight moduli uniform in [0.1, 4).
 
     The last ``complex_count`` instances get complex weights of the same
-    modulus range, exercising every conjugation in the formulas.
+    moduli, exercising every conjugation in the formulas.
     """
     rng = np.random.default_rng(seed)
     corpus = []
@@ -277,8 +275,7 @@ def random_tree_corpus(
         n = int(rng.integers(2, max_vertices + 1))
         parents = [None] + [int(rng.integers(0, j)) for j in range(1, n)]
         tree = finite_tree(parents)
-        lo, hi = weight_range
-        mags = rng.uniform(lo, hi, size=n - 1)
+        mags = rng.uniform(0.1, 4.0, size=n - 1)
         if i >= count - complex_count:
             phases = rng.uniform(0.0, 2.0 * math.pi, size=n - 1)
             vals = mags * np.exp(1j * phases)
@@ -289,8 +286,8 @@ def random_tree_corpus(
     return corpus
 
 
-def violating_instances(count: int, seed: int, max_vertices: int = 12):
-    """Trees violating only the zero-norm hyponormality condition.
+def violating_instances(count: int, seed: int):
+    """Trees of 3 to 12 vertices violating only the zero-norm hyponormality condition.
 
     All weights vanish except one leaf edge, so the margin condition holds
     vacuously while the nonzero leaf weight breaks hyponormality.
@@ -298,7 +295,7 @@ def violating_instances(count: int, seed: int, max_vertices: int = 12):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        n = int(rng.integers(3, max_vertices + 1))
+        n = int(rng.integers(3, 13))
         parents = [None] + [int(rng.integers(0, j)) for j in range(1, n)]
         tree = finite_tree(parents)
         leaves = [v for v in tree.vertices() if tree.child_count(v) == 0 and v != tree.root]

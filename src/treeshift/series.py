@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _REL_SLACK = 1e-9  # float slack when checking analytic certificates on computed terms
+_VERIFY_TERMS = 256  # terms ``sum_series`` checks a claim on (more if it starts late)
 
 
 @dataclass(frozen=True)
@@ -99,15 +100,12 @@ class SumPolicy:
 
     ``tail_bound`` maps the number of evaluated terms to a bound dominating
     the true tail; convergence is only certified when it is present or the
-    stream ends.  ``verify_terms`` is how many terms a claimed certificate is
-    checked on; ``verify_certificate`` widens it to reach past the claim's
-    start.
+    stream ends.
     """
 
     max_terms: int = 100_000
     divergence_threshold: float = 1e12
     tail_bound: Optional[Callable[[int], float]] = None
-    verify_terms: int = 256
 
 
 DEFAULT_POLICY = SumPolicy()
@@ -203,7 +201,7 @@ def sum_series(
     divergence threshold yields the heuristic partial-sum certificate.
     """
     if certificate is not None:
-        verify_certificate(certificate, _nonneg(terms), policy.verify_terms)
+        verify_certificate(certificate, _nonneg(terms), _VERIFY_TERMS)
         return Diverges(certificate)
 
     total = 0.0

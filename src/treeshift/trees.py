@@ -89,11 +89,6 @@ class OmegaVertex:
     def sort_key(self):
         return (self.level, len(self.digits), self.digits)
 
-    def __lt__(self, other):
-        if not isinstance(other, OmegaVertex):
-            return NotImplemented
-        return self.sort_key() < other.sort_key()
-
     def __repr__(self):
         return f"OmegaVertex({self.level}, {self.digits})"
 
@@ -387,7 +382,6 @@ class SampleWindow:
     depth_bound: int = 3
     deep_count: int = 6
     seed: int = 0
-    path_length: int = 12
 
 
 def _canonical_words(depth: int, bound: int):
@@ -413,9 +407,13 @@ def _deep_omega_vertices(window: SampleWindow):
 def sample_vertices(tree: DirectedTree, window: Optional[SampleWindow] = None) -> list:
     """Deterministic vertex sample for a tree family.
 
-    Finite trees return every vertex.  Infinite families return the frontier
-    sweep given by the window plus a seeded batch of deeper vertices; the
-    result is sorted and duplicate-free, so reports keep a stable order.
+    Finite trees return every vertex.  The rootless digit-word tree returns
+    the sweep given by the window plus a seeded batch of deeper vertices,
+    sorted and duplicate-free; the rooted path returns 0..12 and the rootless
+    one -6..6.
+    Any other rooted tree, descendant subtrees included, returns the first
+    ``digit_bound + 1`` children of each vertex, ``depth_bound`` levels
+    down, breadth first.  Either way reports keep a stable order.
     """
     window = window or SampleWindow()
     if tree.is_finite:
@@ -429,24 +427,11 @@ def sample_vertices(tree: DirectedTree, window: Optional[SampleWindow] = None) -
         ]
         sweep.extend(_deep_omega_vertices(window))
         return sorted(set(sweep), key=OmegaVertex.sort_key)
-    if isinstance(tree, DescendantSubtree):
-        apex = tree.apex
-        if not isinstance(apex, OmegaVertex):
-            raise StructureError("sampling a lazy subtree needs a digit-word apex")
-        out = {apex}
-        for length in range(1, window.depth_bound + 1):
-            for word in itertools.product(range(window.digit_bound + 1), repeat=length):
-                v = apex
-                for d in word:
-                    v = v.child(d)
-                out.add(v)
-        return sorted(out, key=OmegaVertex.sort_key)
     if isinstance(tree, NatPath):
-        return list(range(window.path_length + 1))
+        return list(range(13))
     if isinstance(tree, IntPath):
-        half = max(1, window.path_length // 2)
-        return list(range(-half, half + 1))
-    # Generic lazy tree: bounded breadth-first sweep from the root.
+        return list(range(-6, 7))
+    # Any other rooted tree: bounded breadth-first sweep from the root.
     if tree.root is None:
         raise StructureError("cannot sample a rootless tree of unknown shape")
     out = [tree.root]

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,13 @@ from treeshift.analysis import (
 )
 from treeshift.errors import CertificateError, NoWitnessError
 from treeshift.operators import basis_vector
-from treeshift.series import Diverges, EventuallyIncreasing, TermsDoNotVanish, inverse_square_sum
+from treeshift.series import (
+    Diverges,
+    EventuallyIncreasing,
+    SumPolicy,
+    TermsDoNotVanish,
+    inverse_square_sum,
+)
 from treeshift.trees import (
     LazyTree,
     OmegaVertex,
@@ -120,6 +127,24 @@ class TestHyponormality:
         assert report.family_level
 
 
+class TestHyponormalityDivergentChild:
+    def test_child_with_divergent_norm_contributes_nothing(self):
+        # 0 -> 1 -> 2, 3, 4, ...: the root has one child, whose infinitely many
+        # children of weight 1 give it a claimed-divergent aggregate
+        tree = LazyTree(
+            root=0,
+            parent_fn=lambda v: None if v == 0 else (0 if v == 1 else 1),
+            children_fn=lambda u: (1,) if u == 0 else (itertools.count(2) if u == 1 else ()),
+            child_count_fn=lambda u: {0: 1, 1: None}.get(u, 0),
+        )
+        claims = lambda u: TermsDoNotVanish(0, 1.0) if u == 1 else None
+        w = CallableWeights(tree, lambda v: 1.0, divergence_claims=claims)
+        assert w.node_norm(1) == math.inf
+        report = check_hyponormal(w, sample=[0])
+        assert report.verdict == "hyponormal"
+        assert report.margins["0"].value == 0.0
+
+
 class TestTriviality:
     @pytest.mark.parametrize("t", [0.01, 0.25, 0.5, 0.75, 1.0])
     def test_omega_family_certificate(self, t):
@@ -185,6 +210,53 @@ class TestTrivialityWork:
     def test_violation_at_first_ratio_past_start_caught(self):
         with pytest.raises(CertificateError, match="ratio at term 3 drops"):
             certify_trivial_aluthge_domain(OverclaimedWeights(), 0.5, window=WINDOW)
+
+
+def leaf_star(leaf_weight):
+    """Root 0 with children 1, 2, ..., each with the one leaf -v.  Child v has
+    weight 1/v and its leaf ``leaf_weight(v)``; the root's aggregate is a
+    series with a tail bound, every other aggregate an exact finite sum."""
+    tree = LazyTree(
+        root=0,
+        parent_fn=lambda v: None if v == 0 else (0 if v > 0 else -v),
+        children_fn=lambda u: itertools.count(1) if u == 0 else ((-u,) if u > 0 else ()),
+        child_count_fn=lambda u: None if u == 0 else int(u > 0),
+    )
+    policy = SumPolicy(max_terms=1000, tail_bound=lambda n: 1.0 / n)
+    return CallableWeights(tree, lambda v: 1.0 / v if v > 0 else leaf_weight(-v), policy=policy)
+
+
+class OpenFamilyWeights(OmegaShiftWeights):
+    """The built-in family without its claim that the closed forms cover
+    every vertex, so only the sampled vertices can be certified."""
+
+    closed_form_total = False
+
+
+class TestTrivialityRoutes:
+    # The statuses other than certified-family and refuted, each from a
+    # system whose transformed aggregate ends in the matching verdict.
+    def test_partial_sum_crossing_is_heuristic(self):
+        # transformed weights v / norm(0): the partial sums pass the threshold
+        report = certify_trivial_aluthge_domain(leaf_star(lambda v: v**2), 1.0, sample=[0])
+        assert report.status == "heuristic"
+        assert report.per_vertex["0"].kind == "partial-sum-exceeds"
+        assert report.family_certificate is None
+
+    def test_term_budget_without_tail_bound_is_inconclusive(self):
+        # zero child norms make every transformed weight 0
+        report = certify_trivial_aluthge_domain(leaf_star(lambda v: 0.0), 0.5, sample=[0])
+        assert report.status == "inconclusive"
+        assert report.per_vertex == {}
+        assert report.checked == (0,)
+
+    def test_verified_claims_without_family_cover_are_sampled(self):
+        sample = [OmegaVertex(0), OmegaVertex(1, (2,))]
+        report = certify_trivial_aluthge_domain(OpenFamilyWeights(), 0.5, sample=sample)
+        assert report.status == "certified-sample"
+        assert report.family_certificate is None
+        assert sorted(report.per_vertex) == ["0:", "1:2"]
+        assert all(cert.kind == "eventually-increasing" for cert in report.per_vertex.values())
 
 
 class TestWitness:

@@ -384,6 +384,39 @@ class TestSpecParsingProperty:
         assert tree.apex == OmegaVertex(int(level), tuple(words))
 
 
+class TestOutOfRangeCounts:
+    # Each of these used to exit 0 with a report that misread the flag.
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["witness", "--t", "0.5", "--K", "-5"], "--K must be at least 0, got -5"),
+            (["witness", "--t", "0.5", "--threshold", "nan"], "--threshold must be finite, got nan"),
+            (["aluthge-weights", "{paper}", "--limit", "-3"], "--limit must be at least 0, got -3"),
+            (["oracle", "--random", "-4"], "--random must be at least 1, got -4"),
+            (["analyze", "{paper}", "--depth", "-2"], "--depth must be at least 0, got -2"),
+            (["analyze", "{paper}", "--digits", "-1"], "--digits must be at least 0, got -1"),
+        ],
+        ids=["K", "threshold", "limit", "random", "depth", "digits"],
+    )
+    def test_rejected_with_reason(self, tmp_path, capsys, argv, reason):
+        path = write(tmp_path, "tree.json", {"family": "paper"})
+        code, report, err = run(capsys, [arg.format(paper=path) for arg in argv])
+        assert code == 1
+        assert report is None
+        assert err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["witness", "--t", "0.5", "--K", "0"], ["aluthge-weights", "{paper}", "--limit", "0"]],
+        ids=["K", "limit"],
+    )
+    def test_zero_counts_still_report(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "tree.json", {"family": "paper"})
+        code, report, _ = run(capsys, [arg.format(paper=path) for arg in argv])
+        assert code == 0
+        assert report.get("partial_sums", report.get("table")) == []
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 1

@@ -1,16 +1,20 @@
-"""Every name a package module imports is used in that module, and the
-analysis layer reaches family facts only through weight-system hooks.
+"""Every name a package module imports is used in that module, every
+function a package module defines is used somewhere, and the analysis layer
+reaches family facts only through weight-system hooks.
 
 ``__init__.py`` is exempt from the first check: its imports are the public
 re-exports.
 """
 
 import ast
+import collections
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "treeshift"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "treeshift"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -36,6 +40,36 @@ def test_every_import_is_used(path):
 def test_checker_flags_an_unused_import():
     source = "import math\nfrom .trees import OmegaVertex, nat_path\n\nnat_path()\n"
     assert unused_imports(source) == ["OmegaVertex (line 2)", "math (line 1)"]
+
+
+def dead_names(definitions: list, corpus: list) -> list:
+    """Non-dunder ``def`` names in the ``definitions`` sources that occur in
+    the ``corpus`` texts no more often than they are defined."""
+    defined = collections.Counter(
+        node.name
+        for source in definitions
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+    words = collections.Counter(word for text in corpus for word in re.findall(r"\w+", text))
+    return sorted(name for name, count in defined.items() if words[name] <= count)
+
+
+def test_every_defined_function_is_used():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    others = [ROOT / "README.md", *sorted(ROOT.glob("tests/*.py")), *sorted(ROOT.glob("bench/*.py"))]
+    assert dead_names(sources, sources + [p.read_text(encoding="utf-8") for p in others]) == []
+
+
+def test_dead_name_check_flags_an_unused_function():
+    source = (
+        "def used():\n    return 1\n\n\n"
+        "class Planted:\n"
+        "    def never_called(self):\n        return used()\n\n"
+        "    def __repr__(self):\n        return 'Planted()'\n"
+    )
+    assert dead_names([source], [source, "Planted().__repr__()"]) == ["never_called"]
 
 
 # The hooks through which a weight system states its family's analytic facts.

@@ -158,6 +158,15 @@ class TestApplyShift:
         assert err.value.certificate is not None
 
 
+@pytest.mark.parametrize(
+    "cls", [EvaluationError, OutOfDomainError, SingularWeightError, UnsupportedRepresentationError]
+)
+def test_errors_name_their_vertex(cls):
+    err = cls("at the vertex", vertex=OmegaVertex(1))
+    assert (str(err), err.vertex) == ("at the vertex", OmegaVertex(1))
+    assert cls("nowhere").vertex is None
+
+
 class TestApplyAdjoint:
     def test_root_annihilated(self, small_tree):
         tree, w = small_tree

@@ -10,6 +10,7 @@ from treeshift.operators import (
     aluthge_basis_action,
     apply_adjoint_modulus_power,
     apply_modulus_power,
+    apply_partial_isometry_adjoint,
     basis_vector,
     expand,
 )
@@ -193,6 +194,16 @@ class TestFormulaEquivalence:
             )
             want = dense.matrix @ dense.matrix.conj().T @ _unit(dense.n, v)
             np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_partial_isometry_adjoint_matches_matrix(self):
+        # vertex 1 has zero norm: its children 3 and 4 carry weight 0
+        tree = finite_tree([None, 0, 0, 1, 1, 2])
+        w = TableWeights(tree, {1: 2.0, 2: 0.5j, 3: 0.0, 4: 0.0, 5: 1.5 - 0.5j})
+        dense = assemble(w, tree)
+        u_adjoint = polar(dense.matrix).u_factor.conj().T
+        for v in range(dense.n):
+            got = dense_vector(apply_partial_isometry_adjoint(w, basis_vector(v)), dense)
+            np.testing.assert_allclose(got, u_adjoint @ _unit(dense.n, v), atol=1e-12)
 
     def test_aluthge_basis_action_matches_matrix(self):
         for tree, w in random_tree_corpus(5, seed=31, max_vertices=15):

@@ -285,6 +285,38 @@ class TestSampling:
         tree = finite_tree([None, 0, 1])
         assert sample_vertices(tree) == [0, 1, 2]
 
+    @staticmethod
+    def digit_word_grid(apex, window):
+        """The apex and each word of 1 to ``depth_bound`` digits, each at most
+        ``digit_bound``, appended to it; sorted by level, length and digits."""
+        out = {apex}
+        for length in range(1, window.depth_bound + 1):
+            for word in itertools.product(range(window.digit_bound + 1), repeat=length):
+                v = apex
+                for d in word:
+                    v = v.child(d)
+                out.add(v)
+        return sorted(out, key=OmegaVertex.sort_key)
+
+    @pytest.mark.parametrize("level", range(-3, 4))
+    def test_descendant_sweep_is_the_sorted_digit_word_grid(self, level):
+        # the breadth-first sweep lists the grid in exactly this order
+        for digits in [(), (1,), (2,), (1, 0), (3, 1), (1, 0, 2), (2, 2, 2)]:
+            apex = OmegaVertex(level, digits)
+            sub = descendant_subtree(omega_tree(), apex)
+            for depth, bound in itertools.product(range(5), repeat=2):
+                window = SampleWindow(depth_bound=depth, digit_bound=bound)
+                assert sample_vertices(sub, window) == self.digit_word_grid(apex, window)
+
+    def test_path_samples(self):
+        assert sample_vertices(nat_path()) == list(range(13))
+        assert sample_vertices(int_path()) == list(range(-6, 7))
+
+    def test_descendant_of_a_path_is_swept_from_its_apex(self):
+        assert sample_vertices(descendant_subtree(nat_path(), 3)) == [3, 4, 5, 6]
+        window = SampleWindow(depth_bound=2)
+        assert sample_vertices(descendant_subtree(int_path(), -2), window) == [-2, -1, 0]
+
     def test_omega_window_bounds(self):
         vs = sample_vertices(omega_tree(), SampleWindow(levels=(0, 1), depth_bound=2, digit_bound=2, deep_count=0))
         assert all(0 <= v.level <= 1 for v in vs)
