@@ -16,7 +16,7 @@ from typing import Optional
 from . import series
 from .errors import NoWitnessError
 from .operators import StructuredVector, apply_adjoint, basis_vector, domain_check
-from .trees import SampleWindow, format_vertex, nat_path, sample_vertices
+from .trees import format_vertex, nat_path, sample_vertices
 from .weights import CallableWeights, WeightSystem, aluthge_weights
 
 __all__ = [
@@ -36,10 +36,9 @@ __all__ = [
 ]
 
 
-def _default_sample(w: WeightSystem, sample, window: Optional[SampleWindow]):
-    if sample is not None:
-        return list(sample)
-    return sample_vertices(w.tree, window)
+def _default_sample(w: WeightSystem, sample) -> list:
+    """The vertices an analysis visits: ``sample``, or the tree's default sample."""
+    return list(sample) if sample is not None else sample_vertices(w.tree)
 
 
 @dataclass(frozen=True)
@@ -60,9 +59,7 @@ class DensityReport:
         return None
 
 
-def check_densely_defined(
-    w: WeightSystem, sample=None, window: Optional[SampleWindow] = None
-) -> DensityReport:
+def check_densely_defined(w: WeightSystem, sample=None) -> DensityReport:
     """Dense definedness reduces to finiteness of every node norm."""
     if w.closed_form_total:
         return DensityReport(status="family", notes="closed-form aggregate covers every vertex")
@@ -70,7 +67,7 @@ def check_densely_defined(
         return DensityReport(status="family", notes="finite tree: all aggregates are finite sums")
     checked = []
     unknown = False
-    for u in _default_sample(w, sample, window):
+    for u in _default_sample(w, sample):
         verdict = w.aggregate(u)
         if isinstance(verdict, series.Diverges):
             return DensityReport(
@@ -104,9 +101,7 @@ class HyponormalityReport:
     notes: str = ""
 
 
-def check_hyponormal(
-    w: WeightSystem, sample=None, window: Optional[SampleWindow] = None
-) -> HyponormalityReport:
+def check_hyponormal(w: WeightSystem, sample=None) -> HyponormalityReport:
     """Two per-vertex conditions: zero-norm children carry zero weight, and the
     sum over active children of |weight|^2 / child-norm^2 stays at most 1."""
     family = w._family_margin()
@@ -125,7 +120,7 @@ def check_hyponormal(
 
     margins: dict = {}
     unknown_at = None
-    for u in _default_sample(w, sample, window):
+    for u in _default_sample(w, sample):
         count = w.tree.child_count(u)
         if count is None:
             unknown_at = (u, "infinite child set without closed form")
@@ -180,9 +175,7 @@ class TrivialityReport:
 _CERT_VERIFY_TERMS = 48
 
 
-def certify_trivial_aluthge_domain(
-    w: WeightSystem, t: float, sample=None, window: Optional[SampleWindow] = None
-) -> TrivialityReport:
+def certify_trivial_aluthge_domain(w: WeightSystem, t: float, sample=None) -> TrivialityReport:
     """Certify that no basis vector lies in the transform's domain.
 
     Divergence of the transformed aggregate at every vertex empties the whole
@@ -191,7 +184,7 @@ def certify_trivial_aluthge_domain(
     analytic certificates are re-verified against their term streams.
     """
     mu = aluthge_weights(w, t)
-    vertices = _default_sample(w, sample, window)
+    vertices = _default_sample(w, sample)
     family_cert = None
     per_vertex = {}
     heuristic = False
@@ -268,7 +261,8 @@ def nonclosability_witness(
     Requires a system that gives its pairing growth (``_pairing_growth``),
     t in (0, 1) and a vector not annihilated by the adjoint shift.  The
     squared pairing against the k-th probe vertex is the system's term at k
-    times |adjoint coefficient|^2.
+    times |adjoint coefficient|^2.  The reported sums end at the last finite
+    one, so there are fewer than ``terms`` when the running sum overflows.
     """
     pairing, ratio_limit = w._pairing_growth(t)
     if not 0 < t < 1:
@@ -290,8 +284,8 @@ def nonclosability_witness(
     crossing = None
     for k in range(terms):
         term = pairing_term(k)
-        if not math.isfinite(term):
-            break
+        if not math.isfinite(total + term):
+            break  # the term or the running sum left the double range
         term_list.append(term)
         total += term
         sums.append(total)
@@ -334,16 +328,14 @@ class BranchingReport:
     notes: str = ""
 
 
-def branching_necessity_check(
-    w: WeightSystem, t: float, sample=None, window: Optional[SampleWindow] = None
-) -> BranchingReport:
+def branching_necessity_check(w: WeightSystem, t: float, sample=None) -> BranchingReport:
     """At vertices with finitely many children and nonzero weights, the basis
     vector must stay inside the transform's domain; a violation would need
     infinite branching.  Refuses zero weights."""
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
     checked, violations, vacuous = [], [], []
-    for u in _default_sample(w, sample, window):
+    for u in _default_sample(w, sample):
         if w.tree.child_count(u) is None:
             vacuous.append(u)
             continue
@@ -352,7 +344,7 @@ def branching_necessity_check(
                 raise ValueError(
                     f"branching check requires nonzero weights; zero weight at {v!r}"
                 )
-        verdict = domain_check(w, basis_vector(u), "aluthge", t=t)
+        verdict = domain_check(w, basis_vector(u), t=t)
         checked.append(u)
         if not verdict.is_in:
             violations.append((u, verdict))

@@ -42,7 +42,7 @@ class ParseError(TreeShiftError):
 
 
 def load_tree_spec(path: str):
-    """Read a tree file: a built-in family or an explicit vertex/edge list."""
+    """Read a tree file, a built-in family or explicit edge list, into ``(weights, meta)``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -64,8 +64,7 @@ def load_tree_spec(path: str):
 def _family_spec(doc: dict):
     family = doc.get("family")
     if family in ("paper", "omega"):
-        tree = omega_tree()
-        return tree, OmegaShiftWeights(tree), {"doc": doc}
+        return OmegaShiftWeights(omega_tree()), {"doc": doc}
     if family == "descendant":
         apex_doc = doc.get("apex", {"level": 0, "digits": []})
         try:
@@ -73,12 +72,11 @@ def _family_spec(doc: dict):
             apex = OmegaVertex.make(level, [_integral(d) for d in apex_doc.get("digits", [])])
         except (KeyError, TypeError, ValueError, OverflowError, TreeShiftError) as exc:
             raise ParseError(f"bad 'apex' field: {exc}") from exc
-        tree = descendant_subtree(omega_tree(), apex)
-        return tree, OmegaShiftWeights(tree), {"doc": doc}
+        return OmegaShiftWeights(descendant_subtree(omega_tree(), apex)), {"doc": doc}
     if family in ("nat_path", "int_path"):
         tree = nat_path() if family == "nat_path" else int_path()
         fn = _path_weight_fn(doc.get("weights", {"kind": "constant", "value": 1.0}))
-        return tree, CallableWeights(tree, fn), {"doc": doc}
+        return CallableWeights(tree, fn), {"doc": doc}
     raise ParseError(f"unknown family {family!r}")
 
 
@@ -91,34 +89,24 @@ def _integral(value) -> int:
     return int(value)
 
 
-def _finite_field(spec: dict, key: str, default, cast):
-    value = cast(spec.get(key, default))
-    if not cmath.isfinite(value):
-        raise ValueError(f"{key!r} must be finite, got {spec[key]!r}")
-    return value
-
-
 def _path_weight_fn(spec: dict):
     if not isinstance(spec, dict):
         raise ParseError(f"'weights' must be an object, got {spec!r}")
     kind = spec.get("kind")
-    try:
-        if kind == "constant":
-            value = _finite_field(spec, "value", 1.0, complex)
-            return lambda v: value
-        if kind == "geometric":
-            base = _finite_field(spec, "base", 2.0, float)
-            scale = _finite_field(spec, "scale", 1.0, complex)
+    if kind == "constant":
+        value = _parse_number(spec.get("value", 1.0), "'weights' field 'value'", real=False)
+        return lambda v: value
+    if kind == "geometric":
+        base = _parse_number(spec.get("base", 2.0), "'weights' field 'base'", real=True)
+        scale = _parse_number(spec.get("scale", 1.0), "'weights' field 'scale'", real=False)
 
-            def geometric(v):
-                weight = scale * base**v
-                if not cmath.isfinite(weight):
-                    raise OverflowError(f"path weight at {v} overflows")
-                return weight
+        def geometric(v):
+            weight = scale * base**v
+            if not cmath.isfinite(weight):
+                raise OverflowError(f"path weight at {v} overflows")
+            return weight
 
-            return geometric
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad 'weights' field: {exc}") from exc
+        return geometric
     raise ParseError(f"unknown path weight kind {kind!r} (use 'constant' or 'geometric')")
 
 
@@ -140,7 +128,7 @@ def _explicit_spec(doc: dict):
         try:
             parent = index[str(edge["parent"])]
             child = index[str(edge["child"])]
-            weight = _parse_weight(edge["weight"])
+            weight = _parse_number(edge["weight"], f"edge #{pos}: weight", real=False)
         except KeyError as exc:
             raise ParseError(f"edge #{pos}: missing or unknown field {exc}") from exc
         if parents[child] is not None:
@@ -151,21 +139,22 @@ def _explicit_spec(doc: dict):
         tree = finite_tree(parents)
     except TreeShiftError as exc:
         raise ParseError(f"bad tree structure: {exc}") from exc
-    meta = {"doc": doc, "names": [str(n) for n in names]}
-    return tree, TableWeights(tree, table), meta
+    return TableWeights(tree, table), {"doc": doc, "names": [str(n) for n in names]}
 
 
-def _parse_weight(value) -> complex:
-    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
-    if not all(isinstance(x, (int, float)) for x in parts):
-        raise ParseError(f"weight must be a number or an [re, im] pair, got {value!r}")
-    try:
-        weight = complex(float(parts[0]), float(parts[1]))
-        if cmath.isfinite(weight):
-            return weight
-    except OverflowError:  # an integer beyond the double range
-        pass
-    raise ParseError(f"weight must be finite, got {value!r}")
+def _parse_number(value, what: str, *, real: bool):
+    """A finite tree-file number: a JSON number or, unless ``real``, an
+    ``[re, im]`` pair; strings and booleans are refused."""
+    parts = value if not real and isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        try:
+            number = complex(float(parts[0]), float(parts[1]))
+            if cmath.isfinite(number):
+                return number.real if real else number
+        except OverflowError:  # an integer beyond the double range
+            pass
+    kind = "a number" if real else "a number or an [re, im] pair"
+    raise ParseError(f"{what} must be finite, given as {kind}; got {value!r}")
 
 
 def _vertex_label(meta: dict, v) -> str:
@@ -219,7 +208,13 @@ def _margin_dict(margins: dict) -> dict:
 
 
 def emit(report: dict, summary_lines: list[str]) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    """Print the report; a non-finite value in it, which JSON cannot carry,
+    raises ``ArithmeticError`` (exit 3) before anything is printed."""
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"the report holds a non-finite value ({exc})") from exc
+    sys.stdout.write(text + "\n")
     for line in summary_lines:
         sys.stderr.write(line + "\n")
 
@@ -233,12 +228,12 @@ def _check_at_least(value: int, low: int, flag: str) -> int:
     return value
 
 
-def _window_from(args) -> SampleWindow:
-    return SampleWindow(
+def _sample_from(args, tree) -> list:
+    return sample_vertices(tree, SampleWindow(
         digit_bound=_check_at_least(args.digits, 0, "--digits"),
         depth_bound=_check_at_least(args.depth, 0, "--depth"),
         seed=args.sample_seed,
-    )
+    ))
 
 
 def _check_t(t: float, *, open_top: bool = False) -> float:
@@ -251,12 +246,12 @@ def _check_t(t: float, *, open_top: bool = False) -> float:
 
 
 def cmd_analyze(args) -> int:
-    tree, weights, meta = load_tree_spec(args.file)
+    weights, meta = load_tree_spec(args.file)
     t = _check_t(args.t)
-    window = _window_from(args)
-    density = analysis.check_densely_defined(weights, window=window)
-    hypo = analysis.check_hyponormal(weights, window=window)
-    trivial = analysis.certify_trivial_aluthge_domain(weights, t, window=window)
+    sample = _sample_from(args, weights.tree)
+    density = analysis.check_densely_defined(weights, sample)
+    hypo = analysis.check_hyponormal(weights, sample)
+    trivial = analysis.certify_trivial_aluthge_domain(weights, t, sample)
     report = {
         "command": "analyze",
         "version": __version__,
@@ -307,14 +302,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_aluthge_weights(args) -> int:
-    tree, weights, meta = load_tree_spec(args.file)
+    weights, meta = load_tree_spec(args.file)
+    tree = weights.tree
     t = _check_t(args.t)
     limit = _check_at_least(args.limit, 0, "--limit")
     if args.vertex:
         chosen = [parse_vertex(meta, text) for text in args.vertex]
     else:
-        window = _window_from(args)
-        chosen = [v for v in sample_vertices(tree, window) if tree.parent(v) is not None]
+        chosen = [v for v in _sample_from(args, tree) if tree.parent(v) is not None]
         chosen = chosen[:limit]
     mu = aluthge_weights(weights, t)
     pi = polar_weights(weights)
@@ -354,16 +349,16 @@ def cmd_oracle(args) -> int:
     else:
         if args.file is None:
             raise ParseError("oracle needs a tree file or --random N")
-        tree, weights, meta = load_tree_spec(args.file)
-        if not tree.is_finite:
+        weights, meta = load_tree_spec(args.file)
+        if not weights.tree.is_finite:
             raise ParseError("oracle requires a finite tree")
-        instances = [(tree, weights)]
+        instances = [(weights.tree, weights)]
         source = {"file": meta["doc"]}
 
     worst = 0.0
     disagreements = 0
     per_instance = []
-    for i, (tree, weights) in enumerate(instances):
+    for tree, weights in instances:
         report = oracle.compare_with_formula(weights, tree, t_values=t_values)
         worst = max(worst, report.max_discrepancy())
         if not report.hyponormal_agree:
@@ -420,7 +415,10 @@ def cmd_witness(args) -> int:
         if witness.crossing_index is not None
         else f"threshold {witness.threshold:g} not crossed in {args.K} terms"
     )
-    emit(report, [crossed, f"term ratio tends to {witness.ratio_limit:.6f}"])
+    lines = [crossed, f"term ratio tends to {witness.ratio_limit:.6f}"]
+    if len(witness.partial_sums) < args.K:
+        lines.append(f"partial sums end after {len(witness.partial_sums)} terms; the next overflows")
+    emit(report, lines)
     return 0
 
 

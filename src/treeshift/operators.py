@@ -356,7 +356,7 @@ def aluthge_basis_action(
     agg = mu.aggregate(u)
     unmet = _unmet("aluthge-weight-aggregate", u, agg)
     if unmet is None and t < 1:
-        unmet = _unmet("modulus-power", u, w.aggregate(u))
+        unmet = _unmet("node-norm", u, w.aggregate(u))
     if unmet is not None:
         return unmet
     value = math.sqrt(agg.value)
@@ -401,38 +401,21 @@ def adjoint_aluthge_basis_action(w: WeightSystem, t: float, v) -> StructuredVect
     return StructuredVector(w, None, {grand: coeff})
 
 
-_DOMAIN_OPS = ("shift", "adjoint", "modulus_power", "aluthge")
-
-
-def domain_check(
-    w: WeightSystem,
-    f: StructuredVector,
-    which: str,
-    *,
-    alpha: Optional[float] = None,
-    t: Optional[float] = None,
-) -> DomainVerdict:
+def domain_check(w: WeightSystem, f: StructuredVector, t: Optional[float] = None) -> DomainVerdict:
     """Reduce domain membership of a finitely supported vector to aggregates.
 
-    ``which`` selects the operator: the shift itself, its adjoint (always
-    defined on finite combinations), a modulus power (needs ``alpha``), or
-    the transform (needs ``t``).  Each support vertex runs its checks in
-    order: a divergent aggregate puts the vector out at once, an inconclusive
-    one skips the vertex's remaining checks, and the last such vertex makes
-    the verdict unknown.
+    Without ``t`` the domain is the shift's, which every positive power of
+    its modulus shares; with ``t`` it is the transform's.  The adjoint needs
+    no check: it is defined on every finite combination.  Each support vertex
+    runs its checks in order: a divergent aggregate puts the vector out at
+    once, an inconclusive one skips the vertex's remaining checks, and the
+    last such vertex makes the verdict unknown.
     """
-    if which not in _DOMAIN_OPS:
-        raise ValueError(f"unknown operator selector {which!r}")
     if f.b:
         raise UnsupportedRepresentationError("domain checks take plain basis combinations")
-    if which == "adjoint":
-        return DomainVerdict(status="in", evidence=(("finite-span", None),))
-    if which == "modulus_power":
-        if alpha is None or alpha <= 0:
-            raise ValueError("modulus_power needs alpha > 0")
     checks = [("node-norm", w.aggregate, "node-norm-finite")]
-    if which == "aluthge":
-        if t is None or not 0 < t <= 1:
+    if t is not None:
+        if not 0 < t <= 1:
             raise ValueError("aluthge needs t in (0, 1]")
         mu = aluthge_weights(w, t)
         transformed = ("aluthge-weight-aggregate", mu.aggregate, "aluthge-aggregate-finite")

@@ -197,8 +197,10 @@ def sum_series(
     With a claimed analytic ``certificate`` the terms are sampled against it
     and the verdict is ``Diverges`` carrying that certificate.  Otherwise the
     stream is summed: a stream that ends converges exactly; hitting the term
-    budget converges only when the policy supplies a tail bound; crossing the
-    divergence threshold yields the heuristic partial-sum certificate.
+    budget converges only when the policy supplies a tail bound; a partial
+    sum past the divergence threshold yields the heuristic partial-sum
+    certificate once a further term arrives, so a stream that ends at its
+    crossing is still summed exactly, unless its sum is infinite.
     """
     if certificate is not None:
         verify_certificate(certificate, _nonneg(terms), _VERIFY_TERMS)
@@ -208,17 +210,19 @@ def sum_series(
     comp = 0.0  # Kahan compensation
     n = 0
     for term in _nonneg(terms):
+        if total > policy.divergence_threshold:
+            return Diverges(PartialSumExceeds(policy.divergence_threshold, n - 1))
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         n += 1
-        if total > policy.divergence_threshold:
-            return Diverges(PartialSumExceeds(policy.divergence_threshold, n - 1))
-        if n >= policy.max_terms:
+        if n >= policy.max_terms and total <= policy.divergence_threshold:
             if policy.tail_bound is not None:
                 return Converges(total, float(policy.tail_bound(n)))
             return Inconclusive(total, n)
+    if math.isinf(total):  # an infinite last term is never summed to a value
+        return Diverges(PartialSumExceeds(policy.divergence_threshold, n - 1))
     return Converges(total, 0.0)
 
 
@@ -252,18 +256,15 @@ def inverse_square_sum() -> Converges:
 _MAX_START = 10**7
 
 
-def closed_form_aggregate(growth: float, scale: float = 1.0) -> SeriesVerdict:
-    """Verdict for the sum over n >= 0 of scale * growth^n / (n + 1)^2.
+def closed_form_aggregate(growth: float) -> Diverges:
+    """Divergence verdict for the sum over n >= 0 of growth^n / (n + 1)^2.
 
-    At growth 1 this is scale times the inverse-square constant.  Above 1,
-    consecutive terms grow by growth * ((n+1)/(n+2))^2, which exceeds 1 from
-    some index on; the divergence certificate carries that index and ratio.
+    Needs growth > 1.  Consecutive terms grow by growth * ((n+1)/(n+2))^2,
+    which exceeds 1 from some index on; the divergence certificate carries
+    that index and ratio.
     """
-    if growth == 1.0:
-        inv_sq = inverse_square_sum()
-        return Converges(scale * inv_sq.value, scale * inv_sq.tail_bound)
     if not growth > 1.0:
-        raise ValueError(f"no closed form for growth {growth} below 1")
+        raise ValueError(f"no divergence certificate for growth {growth}; it must exceed 1")
 
     def ratio(n: int) -> float:
         return growth * ((n + 1) / (n + 2)) ** 2

@@ -149,14 +149,16 @@ class FiniteTree(DirectedTree):
             if not isinstance(p, int) or not 0 <= p < n:
                 raise StructureError(f"parent index {p!r} of vertex {i} out of range")
             kids[p].append(i)
-        for i in range(n):
-            seen = set()
-            j = i
-            while j is not None:
-                if j in seen:
-                    raise StructureError(f"cycle through vertex {i}")
-                seen.add(j)
-                j = parents[j]
+        # One sweep down from the root: a vertex it misses has an ancestor
+        # chain that runs into a cycle instead of reaching the root.
+        reached = [False] * n
+        stack = [roots[0]]
+        while stack:
+            u = stack.pop()
+            reached[u] = True
+            stack.extend(kids[u])
+        if not all(reached):
+            raise StructureError(f"cycle through vertex {reached.index(False)}")
         self._parents = parents
         self._children = [tuple(k) for k in kids]
         self._root = roots[0]

@@ -212,7 +212,9 @@ class OmegaShiftWeights(WeightSystem):
         return complex(2.0 ** (v.digit_sum - v.last_digit) / (v.last_digit + 1))
 
     def _closed_form(self, u):
-        return series.closed_form_aggregate(1.0, 4.0**u.digit_sum)
+        scale = 4.0**u.digit_sum
+        inv_sq = series.inverse_square_sum()
+        return series.Converges(scale * inv_sq.value, scale * inv_sq.tail_bound)
 
     def child_norms_and_weights(self, u, first=0):
         # Child n of u has digit sum S(u) + n and last digit n, so its node

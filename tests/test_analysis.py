@@ -30,6 +30,7 @@ from treeshift.trees import (
     finite_tree,
     nat_path,
     omega_tree,
+    sample_vertices,
 )
 from treeshift.weights import CallableWeights, OmegaShiftWeights, TableWeights, aluthge_weights
 
@@ -148,7 +149,7 @@ class TestHyponormalityDivergentChild:
 class TestTriviality:
     @pytest.mark.parametrize("t", [0.01, 0.25, 0.5, 0.75, 1.0])
     def test_omega_family_certificate(self, t):
-        report = certify_trivial_aluthge_domain(OmegaShiftWeights(), t, window=WINDOW)
+        report = certify_trivial_aluthge_domain(OmegaShiftWeights(), t, sample=sample_vertices(omega_tree(), WINDOW))
         assert report.status == "certified-family"
         assert report.family_certificate.ratio > 1.0
         assert report.per_vertex  # sampled vertices carry verified certificates
@@ -163,7 +164,7 @@ class TestTriviality:
     def test_descendant_subtree_certified(self):
         apex = OmegaVertex(0, (1,))
         sub = descendant_subtree(omega_tree(), apex)
-        report = certify_trivial_aluthge_domain(OmegaShiftWeights(sub), 0.25, window=WINDOW)
+        report = certify_trivial_aluthge_domain(OmegaShiftWeights(sub), 0.25, sample=sample_vertices(sub, WINDOW))
         assert report.status == "certified-family"
 
     def test_t_validated(self):
@@ -201,7 +202,7 @@ class TestTrivialityWork:
                 yield pair
 
         monkeypatch.setattr(OmegaShiftWeights, "child_norms_and_weights", counting)
-        report = certify_trivial_aluthge_domain(w, t, window=self.WINDOW)
+        report = certify_trivial_aluthge_domain(w, t, sample=sample_vertices(w.tree, self.WINDOW))
         assert report.status == "certified-family"
         start = report.family_certificate.start
         assert len(pairs) == 21 * (max(48, start + 17) - start) == weight_calls
@@ -209,7 +210,7 @@ class TestTrivialityWork:
 
     def test_violation_at_first_ratio_past_start_caught(self):
         with pytest.raises(CertificateError, match="ratio at term 3 drops"):
-            certify_trivial_aluthge_domain(OverclaimedWeights(), 0.5, window=WINDOW)
+            certify_trivial_aluthge_domain(OverclaimedWeights(), 0.5, sample=sample_vertices(omega_tree(), WINDOW))
 
 
 def leaf_star(leaf_weight):
@@ -368,7 +369,7 @@ class TestBranching:
         assert report.status == "all-in"
 
     def test_omega_vacuous(self):
-        report = branching_necessity_check(OmegaShiftWeights(), 0.5, window=WINDOW)
+        report = branching_necessity_check(OmegaShiftWeights(), 0.5, sample=sample_vertices(omega_tree(), WINDOW))
         assert report.status == "vacuous"
         assert "vacuous" in report.notes
 

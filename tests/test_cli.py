@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeshift.cli import ParseError, cert_dict, load_tree_spec, main
+from treeshift import analysis
+from treeshift.cli import ParseError, cert_dict, emit, load_tree_spec, main
 from treeshift.series import EventuallyIncreasing, PartialSumExceeds, TermsDoNotVanish
 from treeshift.trees import OmegaVertex
 
@@ -200,6 +202,35 @@ class TestWitnessCommand:
         assert len(report["partial_sums"]) == 60
 
 
+class TestFiniteReports:
+    def test_witness_stops_before_an_overflowing_sum(self, capsys):
+        # every term is finite, but the 36th running sum passes the double range
+        code = main(["witness", "--t", "0.5", "--vertex", "2:500,0", "--K", "60"])
+        captured = capsys.readouterr()
+        assert code == 0
+        report = json.loads(captured.out, parse_constant=pytest.fail)
+        assert len(report["partial_sums"]) == 35
+        assert all(math.isfinite(x) for x in report["partial_sums"])
+        assert "partial sums end after 35 terms; the next overflows\n" in captured.err
+
+    def test_emit_refuses_a_non_finite_value(self, capsys):
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            emit({"value": math.inf}, ["summary"])
+        assert capsys.readouterr().out == ""
+
+    def test_non_finite_report_exits_three(self, monkeypatch, capsys):
+        real = analysis.nonclosability_witness
+        monkeypatch.setattr(
+            analysis,
+            "nonclosability_witness",
+            lambda *a, **k: dataclasses.replace(real(*a, **k), ratio_limit=math.nan),
+        )
+        code, report, err = run(capsys, ["witness", "--t", "0.5", "--K", "5"])
+        assert code == 3
+        assert report is None
+        assert err.startswith("numerical failure: the report holds a non-finite value")
+
+
 class TestNumericalFailures:
     @pytest.mark.parametrize(
         "argv",
@@ -262,6 +293,28 @@ class TestNonFiniteWeights:
         assert code == 1
         assert report is None
         assert "must be finite" in err
+
+
+class TestWrongTypedWeights:
+    # Strings and booleans were cast to numbers and reported with exit 0.
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"family": "nat_path", "weights": {"kind": "constant", "value": "2"}},
+            {"family": "nat_path", "weights": {"kind": "constant", "value": True}},
+            {"family": "int_path", "weights": {"kind": "geometric", "scale": "1+1j"}},
+            {"vertices": ["r", "a"], "edges": [{"parent": "r", "child": "a", "weight": True}]},
+        ],
+        ids=["string-value", "boolean-value", "string-scale", "boolean-edge-weight"],
+    )
+    def test_parse_error(self, tmp_path, capsys, doc):
+        path = write(tmp_path, "tree.json", doc)
+        with pytest.raises(ParseError, match="must be finite, given as a number"):
+            load_tree_spec(path)
+        code, report, err = run(capsys, ["analyze", path, "--t", "0.5"])
+        assert code == 1
+        assert report is None
+        assert err.startswith("error:")
 
 
 class TestMalformedSpecs:
@@ -377,11 +430,11 @@ class TestSpecParsingProperty:
             with pytest.raises(ParseError):
                 load_tree_spec(str(path))
             return
-        tree, _, _ = load_tree_spec(str(path))
+        weights, _ = load_tree_spec(str(path))
         words = [int(x) for x in digits]
         while words and words[0] == 0:
             words.pop(0)
-        assert tree.apex == OmegaVertex(int(level), tuple(words))
+        assert weights.tree.apex == OmegaVertex(int(level), tuple(words))
 
 
 class TestOutOfRangeCounts:

@@ -346,19 +346,14 @@ class TestAdjointAluthgeBasisAction:
 class TestDomainCheck:
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     def test_omega_basis_out_of_transform_domain(self, omega, t):
-        verdict = domain_check(omega, basis_vector(OmegaVertex(0)), "aluthge", t=t)
+        verdict = domain_check(omega, basis_vector(OmegaVertex(0)), t=t)
         assert verdict.is_out
         assert verdict.certificate is not None
-
-    def test_adjoint_domain_contains_basis(self, omega, small_tree):
-        tree, w = small_tree
-        for system, u in [(omega, OmegaVertex(0)), (w, 3)]:
-            assert domain_check(system, basis_vector(u), "adjoint").is_in
 
     def test_shift_domain_on_finite_tree(self, small_tree):
         tree, w = small_tree
         f = sum((basis_vector(v) for v in range(1, 6)), basis_vector(0))
-        assert domain_check(w, f, "shift").is_in
+        assert domain_check(w, f).is_in
 
     def test_transform_domain_at_t_one_matches_transformed_shift_domain(self, omega, small_tree):
         # at t = 1 the modulus factor is the identity, so membership reduces
@@ -366,19 +361,15 @@ class TestDomainCheck:
         tree, w = small_tree
         for system, u in [(omega, OmegaVertex(1, (4,))), (w, 0), (w, 4)]:
             f = basis_vector(u)
-            direct = domain_check(system, f, "aluthge", t=1.0)
+            direct = domain_check(system, f, t=1.0)
             mu = aluthge_weights(system, 1.0)
-            via_mu = domain_check(mu, f, "shift")
+            via_mu = domain_check(mu, f)
             assert direct.status == via_mu.status
 
     def test_parameter_validation(self, omega):
         f = basis_vector(OmegaVertex(0))
         with pytest.raises(ValueError):
-            domain_check(omega, f, "aluthge")
-        with pytest.raises(ValueError):
-            domain_check(omega, f, "modulus_power", alpha=-1.0)
-        with pytest.raises(ValueError):
-            domain_check(omega, f, "spectral")
+            domain_check(omega, f, t=0.0)
 
 
 class TestTruncate:
@@ -429,19 +420,19 @@ class TestUndeterminedNodeNorm:
         return CallableWeights(tree, lambda v: 1.0 / v, policy=SumPolicy(max_terms=100))
 
     def test_shift_domain_unknown(self, w):
-        verdict = domain_check(w, basis_vector(0), "shift")
+        verdict = domain_check(w, basis_vector(0))
         assert verdict == DomainVerdict(status="unknown", condition="node-norm", vertex=0)
 
     def test_modulus_power_keeps_finite_evidence(self, w):
         f = basis_vector(0) + basis_vector(1)
-        verdict = domain_check(w, f, "modulus_power", alpha=1.0)
+        verdict = domain_check(w, f)
         assert verdict.status == "unknown"
         assert verdict.condition == "node-norm"
         assert verdict.vertex == 0
         assert verdict.evidence == ((1, "node-norm-finite"),)
 
     def test_leaf_in_transform_domain(self, w):
-        verdict = domain_check(w, basis_vector(1), "aluthge", t=0.5)
+        verdict = domain_check(w, basis_vector(1), t=0.5)
         assert verdict.is_in
         assert verdict.evidence == ((1, "aluthge-aggregate-finite"), (1, "node-norm-finite"))
 
@@ -464,7 +455,7 @@ class TestUndeterminedNodeNorm:
         w = CallableWeights(
             tree, lambda v: 1.0 if v in (1, 2) else 1.0 / v[1], policy=SumPolicy(max_terms=100)
         )
-        verdict = domain_check(w, basis_vector(0) + basis_vector(1) + basis_vector(2), "shift")
+        verdict = domain_check(w, basis_vector(0) + basis_vector(1) + basis_vector(2))
         assert verdict == DomainVerdict(
             status="unknown", condition="node-norm", vertex=2, evidence=((0, "node-norm-finite"),)
         )

@@ -21,8 +21,8 @@ from treeshift.series import (
     sum_series,
     verify_certificate,
 )
-from treeshift.trees import OmegaVertex, finite_tree
-from treeshift.weights import OmegaShiftWeights, TableWeights, aluthge_weights
+from treeshift.trees import LazyTree, OmegaVertex, finite_tree
+from treeshift.weights import CallableWeights, OmegaShiftWeights, TableWeights, aluthge_weights
 
 
 def inv_squares():
@@ -104,6 +104,30 @@ class TestSumSeries:
         assert isinstance(verdict, Diverges)
         assert isinstance(verdict.certificate, PartialSumExceeds)
         assert verdict.certificate.heuristic
+
+    def test_stream_ending_at_its_crossing_sums_exactly(self):
+        assert sum_series(iter([2e12])) == Converges(2e12, 0.0)
+        assert sum_series(iter([1.0, 2e12])) == Converges(2e12 + 1.0, 0.0)
+
+    def test_crossing_index_needs_a_further_term(self):
+        verdict = sum_series(iter([2e12, 0.0]))
+        assert verdict == Diverges(PartialSumExceeds(1e12, 0))
+        # a crossing at the last term of the budget still reads the next term
+        policy = SumPolicy(max_terms=10, divergence_threshold=9.5)
+        assert sum_series(itertools.repeat(1.0), policy) == Diverges(PartialSumExceeds(9.5, 9))
+        assert sum_series(iter([1.0] * 10), policy) == Converges(10.0, 0.0)
+
+    def test_infinite_last_term_is_not_a_value(self):
+        assert sum_series(iter([1.0, math.inf])) == Diverges(PartialSumExceeds(1e12, 1))
+
+    def test_single_heavy_child_has_a_finite_norm(self):
+        # no child count, so the root's aggregate goes through the series engine
+        tree = LazyTree(
+            root=0,
+            parent_fn=lambda v: None if v == 0 else v - 1,
+            children_fn=lambda u: iter((u + 1,)) if u == 0 else iter(()),
+        )
+        assert CallableWeights(tree, lambda v: 1e7).node_norm(0) == 1e7
 
     def test_false_claim_contradicted(self):
         bad = EventuallyIncreasing(start=0, ratio=3.0)

@@ -141,6 +141,15 @@ class TestFiniteTree:
         with pytest.raises(StructureError):
             finite_tree(parents)
 
+    @pytest.mark.parametrize(
+        "parents, vertex",
+        [([None, 2, 1], 1), ([None, 3, 0, 4, 3], 1), ([2, 0, None, 4, 3, 3], 3)],
+    )
+    def test_cycle_names_smallest_vertex_off_the_root(self, parents, vertex):
+        # the smallest vertex the root cannot reach, on the cycle or hanging off it
+        with pytest.raises(StructureError, match=rf"^cycle through vertex {vertex}$"):
+            finite_tree(parents)
+
 
 class TestPaths:
     def test_nat_path_children(self):
