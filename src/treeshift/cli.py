@@ -75,7 +75,7 @@ def _family_spec(doc: dict):
         return OmegaShiftWeights(descendant_subtree(omega_tree(), apex)), {"doc": doc}
     if family in ("nat_path", "int_path"):
         tree = nat_path() if family == "nat_path" else int_path()
-        fn = _path_weight_fn(doc.get("weights", {"kind": "constant", "value": 1.0}))
+        fn = _path_weight_fn(doc.get("weights", {"kind": "constant", "value": 1.0}), family)
         return CallableWeights(tree, fn), {"doc": doc}
     raise ParseError(f"unknown family {family!r}")
 
@@ -89,7 +89,7 @@ def _integral(value) -> int:
     return int(value)
 
 
-def _path_weight_fn(spec: dict):
+def _path_weight_fn(spec: dict, family: str):
     if not isinstance(spec, dict):
         raise ParseError(f"'weights' must be an object, got {spec!r}")
     kind = spec.get("kind")
@@ -98,6 +98,8 @@ def _path_weight_fn(spec: dict):
         return lambda v: value
     if kind == "geometric":
         base = _parse_number(spec.get("base", 2.0), "'weights' field 'base'", real=True)
+        if base == 0.0 and family == "int_path":
+            raise ParseError("'weights' field 'base' must be nonzero on int_path, which has negative vertices")
         scale = _parse_number(spec.get("scale", 1.0), "'weights' field 'scale'", real=False)
 
         def geometric(v):

@@ -5,6 +5,12 @@ formulas, so the two routes can be compared entry by entry.  The polar
 factors reuse one decomposition: the positive part and all its fractional
 powers come from the right singular vectors, with singular values at or
 below the rank cutoff treated as exact zeros before powering.
+
+The dense side follows the dtype of its input: a shift whose weights all
+have zero imaginary part is assembled and decomposed in real arithmetic
+(float64), and any nonzero imaginary part keeps the whole comparison in
+complex128.  The formula side of the adjoint comparison is always complex,
+so no imaginary part a formula produces can be dropped.
 """
 
 from __future__ import annotations
@@ -67,6 +73,8 @@ def assemble(w: WeightSystem, tree: Optional[DirectedTree] = None) -> DenseOpera
         parent = tree.parent(v)
         if parent is not None:
             matrix[index[v], index[parent]] = w.weight(v)
+    if not matrix.imag.any():  # real values give a real matrix, whatever their dtype
+        matrix = np.ascontiguousarray(matrix.real)
     return DenseOperator(matrix, order, index)
 
 
@@ -86,7 +94,8 @@ class PolarFactors:
 
 
 def polar(matrix: np.ndarray) -> PolarFactors:
-    matrix = np.asarray(matrix, dtype=np.complex128)
+    matrix = np.asarray(matrix)
+    matrix = matrix.astype(np.result_type(matrix, np.float64), copy=False)
     try:
         left, sigma, right_h = np.linalg.svd(matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -100,7 +109,7 @@ def polar(matrix: np.ndarray) -> PolarFactors:
 def psd_power(factors: PolarFactors, exponent: float) -> np.ndarray:
     """P^exponent from the stored factorization; P^0 is the identity."""
     if exponent == 0:
-        return np.eye(factors.right.shape[0], dtype=np.complex128)
+        return np.eye(factors.right.shape[0], dtype=factors.right.dtype)
     powered = factors.singular_values ** exponent
     return (factors.right * powered) @ factors.right.conj().T
 
@@ -108,7 +117,7 @@ def psd_power(factors: PolarFactors, exponent: float) -> np.ndarray:
 def left_psd_power(factors: PolarFactors, exponent: float) -> np.ndarray:
     """(T T*)^(exponent/2) i.e. |T*|^exponent, from the left singular vectors."""
     if exponent == 0:
-        return np.eye(factors.left.shape[0], dtype=np.complex128)
+        return np.eye(factors.left.shape[0], dtype=factors.left.dtype)
     powered = factors.singular_values ** exponent
     return (factors.left * powered) @ factors.left.conj().T
 
@@ -237,7 +246,8 @@ def compare_with_formula(
     adjoint_factors = polar(dense.matrix.conj().T)
     for t in t_values:
         adjoint_transform = _transform(adjoint_factors, t)
-        formula = np.zeros_like(adjoint_transform)
+        # Complex whatever the transform's dtype: no formula value loses an imaginary part.
+        formula = np.zeros(adjoint_transform.shape, dtype=np.complex128)
         skipped = []
         for v in dense.order:
             try:

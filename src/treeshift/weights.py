@@ -241,14 +241,15 @@ class OmegaShiftWeights(WeightSystem):
     def _pairing_growth(self, t):
         # With g^2 the inverse-square constant, the k-th probe pairs to
         # 4^((1-t) k) / ((k+1)^2 g^4) per unit of |adjoint coefficient|^2, so
-        # consecutive terms grow like 4^(1-t).
+        # consecutive terms grow like 4^(1-t).  The witness needs t in (0, 1);
+        # outside it the limit is NaN rather than a power that may overflow.
         inv_sq = series.inverse_square_sum().value
         g4 = inv_sq * inv_sq
 
         def term(k: int) -> float:
             return 4.0 ** ((1 - t) * k) / ((k + 1) ** 2 * g4)
 
-        return term, 4.0 ** (1 - t)
+        return term, 4.0 ** (1 - t) if 0 < t < 1 else math.nan
 
     def margin_terms(self):
         """Terms of the per-vertex hyponormality margin, in child-digit order.

@@ -305,6 +305,12 @@ class TestWitness:
         with pytest.raises(ValueError):
             nonclosability_witness(OmegaShiftWeights(), 1.0, basis_vector(OmegaVertex(1)))
 
+    @pytest.mark.parametrize("t", [-600.0, -1e300, 2.0, math.inf, math.nan])
+    def test_far_t_rejected_before_any_power(self, t):
+        # 4^(1-t) overflows for t below -511; the t check must still answer
+        with pytest.raises(ValueError, match="strictly inside"):
+            nonclosability_witness(OmegaShiftWeights(), t, basis_vector(OmegaVertex(1)))
+
     def test_pairing_uses_adjoint_coefficient(self):
         w = OmegaShiftWeights()
         v = OmegaVertex(1, (3,))  # weight 1/4

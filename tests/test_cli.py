@@ -294,6 +294,27 @@ class TestNonFiniteWeights:
         assert report is None
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("base", [0.0, -0.0, 0])
+    def test_zero_base_on_int_path_is_a_parse_error(self, tmp_path, capsys, base):
+        # int_path has negative vertices, where base**v does not exist
+        doc = {"family": "int_path", "weights": {"kind": "geometric", "base": base}}
+        path = write(tmp_path, "tree.json", doc)
+        with pytest.raises(ParseError, match="^'weights' field 'base' must be nonzero"):
+            load_tree_spec(path)
+        code, report, err = run(capsys, ["analyze", path, "--t", "0.5"])
+        assert code == 1
+        assert report is None
+        assert "'weights' field 'base'" in err
+
+    def test_zero_base_on_nat_path_stays_valid(self, tmp_path, capsys):
+        doc = {"family": "nat_path", "weights": {"kind": "geometric", "base": 0.0}}
+        path = write(tmp_path, "tree.json", doc)
+        weights, _ = load_tree_spec(path)
+        assert [weights.weight(v) for v in (1, 2)] == [0.0, 0.0]
+        code, report, _ = run(capsys, ["analyze", path, "--t", "0.5"])
+        assert code == 0
+        assert report is not None
+
 
 class TestWrongTypedWeights:
     # Strings and booleans were cast to numbers and reported with exit 0.

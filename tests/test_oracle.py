@@ -93,6 +93,47 @@ class TestPolar:
             assert np.max(np.abs(root - factors.p_factor)) <= 1e-9
 
 
+class TestRealArithmetic:
+    # Real weights are decomposed in float64, whatever dtype stores them; any
+    # nonzero imaginary part keeps the whole comparison complex.
+    def test_real_weights_give_real_matrix_and_factors(self):
+        corpus = random_tree_corpus(4, seed=5, max_vertices=20)
+        assert isinstance(corpus[0][1].weight(1), complex)  # real values stored as complex
+        for tree, w in [path_weights([2.0, 3, 0.5 + 0j])] + corpus:
+            matrix = assemble(w, tree).matrix
+            assert matrix.dtype == np.float64
+            factors = polar(matrix)
+            for part in (factors.u_factor, factors.left, factors.right, factors.p_factor):
+                assert part.dtype == np.float64
+
+    def test_one_complex_weight_keeps_everything_complex(self):
+        tree = finite_tree([None, 0, 0, 1, 1, 2])
+        w = TableWeights(tree, {1: 2.0, 2: 0.5, 3: 1.0, 4: 3.0, 5: 1.5 - 0.5j})
+        matrix = assemble(w, tree).matrix
+        assert matrix.dtype == np.complex128
+        assert matrix[5, 2] == 1.5 - 0.5j
+        assert polar(matrix).u_factor.dtype == np.complex128
+        report = compare_with_formula(w, tree, t_values=(0.1, 0.5, 1.0))
+        assert report.max_discrepancy() <= 1e-8
+        assert report.hyponormal_agree
+
+    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+    def test_real_transform_matches_complex_route(self, t):
+        for tree, w in random_tree_corpus(6, seed=13, max_vertices=30):
+            matrix = assemble(w, tree).matrix
+            real = matrix_aluthge(matrix, t)
+            assert real.dtype == np.float64
+            np.testing.assert_allclose(real, matrix_aluthge(matrix.astype(complex), t), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_zeroth_power_is_identity_of_factor_dtype(self, dtype):
+        factors = polar(np.diag([2.0, 0.0, 1.0]).astype(dtype))
+        for power in (psd_power, left_psd_power):
+            identity = power(factors, 0)
+            assert identity.dtype == dtype
+            assert np.array_equal(identity, np.eye(3))
+
+
 class TestMatrixAluthge:
     def test_diagonal_positive_fixed_point(self):
         d = np.diag([3.0, 1.0, 0.5, 0.0])
@@ -284,6 +325,21 @@ class TestOracleSeesEveryColumn:
             return vec.scaled(1.001) if v == 3 else vec  # two levels below the root
 
         monkeypatch.setattr(oracle, "adjoint_aluthge_basis_action", perturbed)
+        report = compare_with_formula(w, tree, t_values=self.T_VALUES)
+        for t in self.T_VALUES:
+            assert report.adjoint_aluthge[t] > 1e-8
+
+    def test_imaginary_formula_part_detected_on_real_tree(self, monkeypatch):
+        # the transform is real here; a real formula array would keep the
+        # real part, which is right, and drop the imaginary part, which is not
+        tree, w = self._instance()
+        real = oracle.adjoint_aluthge_basis_action
+
+        def tilted(weights, t, v):
+            vec = real(weights, t, v)
+            return vec.scaled(1 + 1e-3j) if v == 3 else vec
+
+        monkeypatch.setattr(oracle, "adjoint_aluthge_basis_action", tilted)
         report = compare_with_formula(w, tree, t_values=self.T_VALUES)
         for t in self.T_VALUES:
             assert report.adjoint_aluthge[t] > 1e-8
