@@ -384,14 +384,17 @@ def adjoint_aluthge_basis_action(w: WeightSystem, t: float, v) -> StructuredVect
     grand_norm = w.finite_norm(grand)
     if grand_norm == 0.0:
         return zero_vector()
-    mu = aluthge_weights(w, t)
-    mu_parent = mu.weight(parent)
+    # The transformed weight at the parent, as AluthgeWeights(w, t).weight
+    # computes it, without building that system.
+    parent_norm = w.finite_norm(parent)
+    w_parent = w.weight(parent)
+    mu_parent = (parent_norm / grand_norm) ** float(t) * w_parent
     if mu_parent == 0:
         raise SingularWeightError(
             f"transformed weight vanishes at {parent!r}; formula is a 0/0 form",
             vertex=parent,
         )
-    polar_parent = w.weight(parent) / grand_norm
+    polar_parent = w_parent / grand_norm
     coeff = (
         w.weight(v).conjugate()
         * abs(polar_parent) ** 2

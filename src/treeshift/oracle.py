@@ -2,15 +2,21 @@
 
 Everything here goes through numpy's SVD rather than the symbolic weight
 formulas, so the two routes can be compared entry by entry.  The polar
-factors reuse one decomposition: the positive part and all its fractional
-powers come from the right singular vectors, with singular values at or
-below the rank cutoff treated as exact zeros before powering.
+factors reuse one decomposition T = L Σ R*: the positive part and all its
+fractional powers come from the right singular vectors, with singular values
+at or below the rank cutoff treated as exact zeros before powering.  With K
+the kept-rank mask, U = L K R*.  The factors keep U in the right singular
+basis, R*UR = R*(L K), and form U and P only when read, so each transform
+P^t U P^(1-t) = R Σ^t (R*UR) Σ^(1-t) R* costs two matrix products.
 
 The dense side follows the dtype of its input: a shift whose weights all
 have zero imaginary part is assembled and decomposed in real arithmetic
 (float64), and any nonzero imaginary part keeps the whole comparison in
 complex128.  The formula side of the adjoint comparison is always complex,
-so no imaginary part a formula produces can be dropped.
+so no imaginary part a formula produces can be dropped.  It expands each
+child bundle b_u once per comparison, since the bundle does not depend on
+t: a formula column is its vector's basis terms plus each bundle
+coefficient times that bundle's cached column.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import OracleError, SingularWeightError
-from .operators import StructuredVector, adjoint_aluthge_basis_action, expand
+from .operators import StructuredVector, adjoint_aluthge_basis_action, bundle_vector, expand
 from .trees import DirectedTree, finite_tree
 from .weights import TableWeights, WeightSystem, aluthge_weights, polar_weights
 
@@ -61,8 +67,13 @@ class DenseOperator:
 
 
 def assemble(w: WeightSystem, tree: Optional[DirectedTree] = None) -> DenseOperator:
-    """Dense matrix of the shift: column u carries the child weights of u."""
-    tree = tree if tree is not None else w.tree
+    """Dense matrix of the shift: column u carries the child weights of u.
+
+    ``tree``, when given, must be ``w.tree`` itself.
+    """
+    if tree is not None and tree is not w.tree:
+        raise OracleError("the oracle runs on the weight system's own tree")
+    tree = w.tree
     if not tree.is_finite:
         raise OracleError("oracle requires a finite tree")
     order = tree.vertices()
@@ -82,10 +93,15 @@ def assemble(w: WeightSystem, tree: Optional[DirectedTree] = None) -> DenseOpera
 class PolarFactors:
     """SVD-based polar decomposition T = U P with P = (T*T)^(1/2)."""
 
-    u_factor: np.ndarray
-    singular_values: np.ndarray
+    singular_values: np.ndarray  # zero at and below the rank cutoff
     left: np.ndarray
     right: np.ndarray  # columns are right singular vectors
+    u_core: np.ndarray  # R*UR = R*(L K): U in the right singular basis
+
+    @property
+    def u_factor(self) -> np.ndarray:
+        """U = L K R*, computed from the factorization on each read."""
+        return (self.left * (self.singular_values > 0)) @ self.right.conj().T
 
     @property
     def p_factor(self) -> np.ndarray:
@@ -102,8 +118,7 @@ def polar(matrix: np.ndarray) -> PolarFactors:
         raise OracleError(f"SVD failed: {exc}") from exc
     keep = sigma > DEFAULT_RANK_TOL * (sigma[0] if sigma.size else 0.0)
     sigma_eff = np.where(keep, sigma, 0.0)
-    u_factor = (left * keep.astype(np.float64)) @ right_h
-    return PolarFactors(u_factor, sigma_eff, left, right_h.conj().T)
+    return PolarFactors(sigma_eff, left, right_h.conj().T, right_h @ (left * keep))
 
 
 def psd_power(factors: PolarFactors, exponent: float) -> np.ndarray:
@@ -130,8 +145,11 @@ def matrix_aluthge(matrix: np.ndarray, t: float) -> np.ndarray:
 
 
 def _transform(factors: PolarFactors, t: float) -> np.ndarray:
-    """P^t U P^(1-t) from the stored polar factors."""
-    return psd_power(factors, t) @ factors.u_factor @ psd_power(factors, 1 - t)
+    """P^t U P^(1-t) as R Σ^t (R*UR) Σ^(1-t) R*: two products, the powers of Σ
+    applied as column scalings.  Both exponents lie in [0, 1], so a zero
+    singular value never meets a negative power."""
+    sigma, right = factors.singular_values, factors.right
+    return ((right * sigma**t) @ factors.u_core * sigma ** (1 - t)) @ right.conj().T
 
 
 def projection_sum_matrix(w: WeightSystem, dense: DenseOperator, alpha: float) -> np.ndarray:
@@ -222,20 +240,20 @@ def compare_with_formula(
     T*T - T T* against the per-vertex hyponormality criterion; and the
     transform of T* on basis vectors against the closed adjoint formula
     (vertices where that formula is singular are skipped and counted).
+    ``tree``, when given, must be ``w.tree`` itself.
     """
     from .analysis import check_hyponormal  # local import to keep layering acyclic
 
     dense = assemble(w, tree)
-    tree = tree if tree is not None else w.tree
     factors = polar(dense.matrix)
     report = ComparisonReport(n=dense.n)
 
-    pi_matrix = assemble(polar_weights(w), tree).matrix
+    pi_matrix = assemble(polar_weights(w)).matrix
     report.polar_factor = _max_abs(factors.u_factor - pi_matrix)
 
     for t in t_values:
         direct = _transform(factors, t)
-        mu_matrix = assemble(aluthge_weights(w, t), tree).matrix
+        mu_matrix = assemble(aluthge_weights(w, t)).matrix
         report.aluthge[t] = _max_abs(direct - mu_matrix)
 
     for alpha in alphas:
@@ -244,6 +262,7 @@ def compare_with_formula(
         report.adjoint_modulus[alpha] = _max_abs(oracle_side - formula_side)
 
     adjoint_factors = polar(dense.matrix.conj().T)
+    bundles = {}  # vertex u -> dense column of the bundle b_u; t plays no part
     for t in t_values:
         adjoint_transform = _transform(adjoint_factors, t)
         # Complex whatever the transform's dtype: no formula value loses an imaginary part.
@@ -255,7 +274,13 @@ def compare_with_formula(
             except SingularWeightError:
                 skipped.append(dense.index[v])
                 continue
-            formula[:, dense.index[v]] = dense_vector(formula_vec, dense)
+            column = formula[:, dense.index[v]]
+            for u, c in formula_vec.b.items():
+                if u not in bundles:
+                    bundles[u] = dense_vector(bundle_vector(w, u), dense)
+                column += c * bundles[u]
+            for x, c in formula_vec.e.items():
+                column[dense.index[x]] += c
         # Column v of the transform is its action on the basis vector at v.
         np.subtract(adjoint_transform, formula, out=formula)
         formula[:, skipped] = 0.0

@@ -161,12 +161,12 @@ class FiniteTree(DirectedTree):
             raise StructureError(f"cycle through vertex {reached.index(False)}")
         self._parents = parents
         self._children = [tuple(k) for k in kids]
-        self._root = roots[0]
+        self.root = roots[0]
         self._n = n
 
-    @property
-    def root(self):
-        return self._root
+    def require_vertex(self, v):
+        if not (isinstance(v, int) and 0 <= v < self._n):
+            raise StructureError(f"vertex {v!r} is not in this tree")
 
     def parent(self, v):
         self.require_vertex(v)

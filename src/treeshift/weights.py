@@ -61,8 +61,9 @@ class WeightSystem:
         raise NotImplementedError
 
     def _require_non_root(self, v):
-        self.tree.require_vertex(v)
-        if self.tree.root is not None and v == self.tree.root:
+        tree = self.tree
+        tree.require_vertex(v)
+        if tree.root is not None and v == tree.root:
             raise EvaluationError("weights are defined on non-root vertices only", vertex=v)
 
     def _closed_form(self, u) -> Optional[series.SeriesVerdict]:
@@ -247,7 +248,10 @@ class OmegaShiftWeights(WeightSystem):
         g4 = inv_sq * inv_sq
 
         def term(k: int) -> float:
-            return 4.0 ** ((1 - t) * k) / ((k + 1) ** 2 * g4)
+            try:
+                return 4.0 ** ((1 - t) * k) / ((k + 1) ** 2 * g4)
+            except OverflowError:  # float ** raises where it should give inf
+                return math.inf
 
         return term, 4.0 ** (1 - t) if 0 < t < 1 else math.nan
 

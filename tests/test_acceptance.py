@@ -34,6 +34,9 @@ T_VALUES = (0.1, 0.5, 0.9, 1.0)
 ALPHAS = (0.5, 1.0, 2.0)
 TOLERANCE = 1e-8
 
+# An overflow, a 0 ** negative or a NaN in numpy's products fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def corpus():

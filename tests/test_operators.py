@@ -28,6 +28,7 @@ from treeshift.operators import (
     truncate,
     zero_vector,
 )
+from treeshift.oracle import random_tree_corpus, violating_instances
 from treeshift.series import SumPolicy, inverse_square_sum
 from treeshift.trees import LazyTree, OmegaVertex, finite_tree, nat_path
 from treeshift.weights import (
@@ -335,6 +336,47 @@ class TestAdjointAluthgeBasisAction:
         with pytest.raises(SingularWeightError) as err:
             adjoint_aluthge_basis_action(w, 0.5, 3)
         assert err.value.vertex == 2
+
+    @staticmethod
+    def _instances():
+        yield from random_tree_corpus(30, seed=41, max_vertices=25, complex_count=10)
+        yield from ((tree, w) for tree, w, _ in violating_instances(10, seed=43))
+        # the transformed weight at 1 vanishes while the root stays active
+        tree = finite_tree([None, 0, 0, 1, 1, 3])
+        yield tree, TableWeights(tree, {1: 0.0, 2: 1.0, 3: 2.0, 4: 0.5j, 5: 1.5})
+
+    @pytest.mark.parametrize("t", [0.1, 0.5, 0.9, 1.0])
+    def test_coefficient_equals_the_transformed_system_route(self, t):
+        # The action reads the parent's transformed weight without building
+        # AluthgeWeights; the coefficient must be the same float, not a near one.
+        checked = skipped = expected_skips = 0
+        for tree, w in self._instances():
+            mu = aluthge_weights(w, t)
+            for v in tree.vertices():
+                parent = tree.parent(v)
+                grand = None if parent is None else tree.parent(parent)
+                if grand is None or w.node_norm(grand) == 0.0:
+                    assert adjoint_aluthge_basis_action(w, t, v).is_zero
+                    continue
+                grand_norm = w.node_norm(grand)
+                mu_parent = mu.weight(parent)
+                expected_skips += mu_parent == 0
+                try:
+                    got = adjoint_aluthge_basis_action(w, t, v)
+                except SingularWeightError as err:
+                    assert err.vertex == parent
+                    skipped += 1
+                    continue
+                expected = (
+                    w.weight(v).conjugate()
+                    * abs(w.weight(parent) / grand_norm) ** 2
+                    / mu_parent
+                    * grand_norm
+                )
+                assert got.b == {grand: expected} and not got.e
+                checked += 1
+        assert checked > 100
+        assert skipped == expected_skips > 0
 
     def test_inactive_grandparent_gives_zero(self):
         tree = finite_tree([None, 0, 1, 2])

@@ -30,6 +30,9 @@ from treeshift.oracle import (
 from treeshift.trees import finite_tree, omega_tree
 from treeshift.weights import OmegaShiftWeights, TableWeights, aluthge_weights
 
+# An overflow, a 0 ** negative or a NaN in numpy's products fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def path_weights(values):
     n = len(values) + 1
@@ -167,6 +170,35 @@ class TestMatrixAluthge:
         mu = aluthge_weights(w, 0.5)
         for v in (1, 2, 3):
             assert got[v, v - 1] == pytest.approx(mu.weight(v), rel=1e-12)
+
+
+def _four_product_transform(factors, t):
+    """P^t U P^(1-t) with each factor formed, as the textbook writes it."""
+    return psd_power(factors, t) @ factors.u_factor @ psd_power(factors, 1 - t)
+
+
+def _rank_deficient_instances():
+    yield from random_tree_corpus(30, seed=19, max_vertices=30, complex_count=8)
+    yield from ((tree, w) for tree, w, _ in violating_instances(10, seed=23))
+    # all child weights of vertex 1 vanish, so T has a nontrivial kernel
+    tree = finite_tree([None, 0, 1, 1, 0, 4])
+    yield tree, TableWeights(tree, {1: 2.0, 2: 0.0, 3: 0.0, 4: 1.5, 5: 0.75j})
+
+
+class TestTransformInTwoProducts:
+    @pytest.mark.parametrize("t", [0.1, 0.5, 0.9, 1.0])
+    def test_matches_four_product_route(self, t):
+        # At t = 1 the reference multiplies by P^0 = I; every instance has a
+        # kernel, so zero singular values meet the powers 0 and 1 - t.
+        for tree, w in _rank_deficient_instances():
+            matrix = assemble(w, tree).matrix
+            for side in (matrix, matrix.conj().T):
+                factors = polar(side)
+                assert np.any(factors.singular_values == 0.0)
+                got = oracle._transform(factors, t)
+                assert got.dtype == side.dtype
+                want = _four_product_transform(factors, t)
+                assert np.max(np.abs(got - want)) <= 1e-13
 
 
 class TestFormulaEquivalence:
@@ -350,6 +382,69 @@ class TestOracleSeesEveryColumn:
         report = compare_with_formula(w, tree, t_values=(0.5,))
         assert report.adjoint_modulus[0.5] > 1e-8
         assert report.adjoint_modulus[1.0] > 1e-8
+
+
+def _per_column_values(w, t_values):
+    """The transform and adjoint-transform discrepancies by the per-column
+    route: four products per transform and one bundle expansion per column."""
+    dense = assemble(w)
+    factors, adjoint = polar(dense.matrix), polar(dense.matrix.conj().T)
+    values, skipped = {}, 0
+    for t in t_values:
+        mu_matrix = assemble(aluthge_weights(w, t)).matrix
+        values["aluthge", t] = np.max(np.abs(_four_product_transform(factors, t) - mu_matrix))
+        transform = _four_product_transform(adjoint, t)
+        formula = np.zeros(transform.shape, dtype=np.complex128)
+        for v in dense.order:
+            try:
+                vec = adjoint_aluthge_basis_action(w, t, v)
+            except SingularWeightError:
+                formula[:, dense.index[v]] = transform[:, dense.index[v]]
+                skipped += 1
+                continue
+            formula[:, dense.index[v]] = dense_vector(vec, dense)
+        values["adjoint_aluthge", t] = np.max(np.abs(transform - formula))
+    return values, skipped
+
+
+class TestBundleCache:
+    T_VALUES = (0.1, 0.5, 0.9, 1.0)
+
+    def test_report_values_match_per_column_route(self):
+        for tree, w in random_tree_corpus(200, 42, complex_count=20):
+            report = compare_with_formula(w, tree, t_values=self.T_VALUES)
+            values, skipped = _per_column_values(w, self.T_VALUES)
+            assert report.skipped_singular == skipped
+            for (kind, t), want in values.items():
+                assert abs(getattr(report, kind)[t] - want) <= 1e-14
+
+    def test_each_bundle_expanded_once_per_call(self, monkeypatch):
+        tree = finite_tree([None, 0, 0, 1, 1, 2, 3, 3, 5, 0])
+        w = TableWeights(tree, {v: 0.25 + 0.5j * v for v in range(1, 10)})
+        bundles = set()
+        for v in tree.vertices():
+            bundles.update(adjoint_aluthge_basis_action(w, 0.5, v).b)
+        calls = []
+        real = oracle.dense_vector
+
+        def counting(vec, dense):
+            calls.append(tuple(vec.b))
+            return real(vec, dense)
+
+        monkeypatch.setattr(oracle, "dense_vector", counting)
+        report = compare_with_formula(w, tree, t_values=self.T_VALUES)
+        assert report.max_discrepancy() <= 1e-8
+        assert sorted(calls) == sorted((u,) for u in bundles)
+        assert len(bundles) == 3  # grandparents 0, 1 and 2
+
+    def test_foreign_tree_rejected(self):
+        tree, w = path_weights([2.0, 3.0])
+        twin = finite_tree([None, 0, 1])
+        with pytest.raises(OracleError, match="own tree"):
+            assemble(w, twin)
+        with pytest.raises(OracleError, match="own tree"):
+            compare_with_formula(w, twin)
+        assert assemble(w, tree).n == assemble(w).n == 3
 
 
 class TestSingularSkip:

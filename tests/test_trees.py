@@ -123,6 +123,19 @@ class TestFiniteTree:
         assert list(tree.children(1)) == [3]
         assert tree.parent(3) == 1
 
+    @pytest.mark.parametrize("v", [-1, 4, "1", 1.0, None])
+    def test_vertex_outside_rejected(self, v):
+        tree = finite_tree([None, 0, 0, 1])
+        assert not tree.contains(v)
+        with pytest.raises(StructureError, match="is not in this tree"):
+            tree.parent(v)
+
+    def test_every_index_is_a_vertex(self):
+        tree = finite_tree([None, 0, 0, 1])
+        for v in range(4):
+            assert tree.contains(v)
+            tree.require_vertex(v)
+
     def test_single_vertex(self):
         tree = finite_tree([None])
         assert list(tree.children(0)) == []
