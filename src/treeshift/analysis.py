@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import series
 from .errors import NoWitnessError
-from .operators import StructuredVector, apply_adjoint, basis_vector, domain_check
+from .operators import StructuredVector, apply_adjoint, basis_domain_verdict
 from .trees import format_vertex, nat_path, sample_vertices
 from .weights import CallableWeights, WeightSystem, aluthge_weights
 
@@ -68,13 +68,10 @@ def check_densely_defined(w: WeightSystem, sample=None) -> DensityReport:
     checked = []
     unknown = False
     for u in _default_sample(w, sample):
-        verdict = w.aggregate(u)
-        if isinstance(verdict, series.Diverges):
-            return DensityReport(
-                status="counterexample", counterexample=u, checked=tuple(checked)
-            )
-        if isinstance(verdict, series.Inconclusive):
-            unknown = True
+        verdict = basis_domain_verdict(w, u, None)
+        if verdict.is_out:
+            return DensityReport(status="counterexample", counterexample=u, checked=tuple(checked))
+        unknown = unknown or not verdict.is_in
         checked.append(u)
     if unknown:
         return DensityReport(
@@ -162,7 +159,7 @@ def check_hyponormal(w: WeightSystem, sample=None) -> HyponormalityReport:
 
 @dataclass(frozen=True)
 class TrivialityReport:
-    """Divergence of the transformed-weight aggregate at every (sampled) vertex."""
+    """Every (sampled) basis vector outside the transform's domain."""
 
     status: str  # "certified-family" | "certified-sample" | "refuted" | "inconclusive" | "heuristic"
     t: float
@@ -178,10 +175,12 @@ _CERT_VERIFY_TERMS = 48
 def certify_trivial_aluthge_domain(w: WeightSystem, t: float, sample=None) -> TrivialityReport:
     """Certify that no basis vector lies in the transform's domain.
 
-    Divergence of the transformed aggregate at every vertex empties the whole
-    domain, because any nonzero vector has a nonzero coefficient somewhere.
-    Family-level certification needs closed forms at every vertex; sampled
-    analytic certificates are re-verified against their term streams.
+    Every basis vector outside the domain empties it, because any nonzero
+    vector has a nonzero coefficient somewhere.  Of ``basis_domain_verdict``
+    at a vertex, ``in`` refutes, ``unknown`` leaves the report inconclusive
+    and ``out`` gives its certificate.  Family-level certification needs
+    closed forms at every vertex; sampled analytic certificates are
+    re-verified against their term streams.
     """
     mu = aluthge_weights(w, t)
     vertices = _default_sample(w, sample)
@@ -190,22 +189,20 @@ def certify_trivial_aluthge_domain(w: WeightSystem, t: float, sample=None) -> Tr
     heuristic = False
     inconclusive = False
     for i, u in enumerate(vertices):
-        agg = mu.aggregate(u)
-        if isinstance(agg, series.Converges):
-            return TrivialityReport(
-                status="refuted", t=t, refuted_vertex=u, checked=tuple(vertices)
-            )
-        if isinstance(agg, series.Inconclusive):
+        verdict = basis_domain_verdict(w, u, mu)
+        if verdict.is_in:
+            return TrivialityReport(status="refuted", t=t, refuted_vertex=u, checked=tuple(vertices))
+        if not verdict.is_out:
             inconclusive = True
             continue
-        cert = agg.certificate
+        cert = verdict.certificate
         if i == 0 and w.closed_form_total:
             family_cert = cert
         if cert.heuristic:
             heuristic = True
-        else:
-            # only the window from the claim's start is checked, so the
-            # children before it are never built
+        elif verdict.condition == "aluthge-weight-aggregate":
+            # checked from the claim's start, so no earlier child is built;
+            # sum_series already checked a node-norm claim
             terms = mu.child_terms(u, cert.start)
             series.verify_certificate(cert, terms, _CERT_VERIFY_TERMS, first=cert.start)
         per_vertex[format_vertex(u)] = cert
@@ -332,8 +329,7 @@ def branching_necessity_check(w: WeightSystem, t: float, sample=None) -> Branchi
     """At vertices with finitely many children and nonzero weights, the basis
     vector must stay inside the transform's domain; a violation would need
     infinite branching.  Refuses zero weights."""
-    if not 0 < t <= 1:
-        raise ValueError("t must lie in (0, 1]")
+    mu = aluthge_weights(w, t)
     checked, violations, vacuous = [], [], []
     for u in _default_sample(w, sample):
         if w.tree.child_count(u) is None:
@@ -341,10 +337,8 @@ def branching_necessity_check(w: WeightSystem, t: float, sample=None) -> Branchi
             continue
         for v in w.tree.children(u):
             if w.weight(v) == 0:
-                raise ValueError(
-                    f"branching check requires nonzero weights; zero weight at {v!r}"
-                )
-        verdict = domain_check(w, basis_vector(u), t=t)
+                raise ValueError(f"branching check requires nonzero weights; zero weight at {v!r}")
+        verdict = basis_domain_verdict(w, u, mu)
         checked.append(u)
         if not verdict.is_in:
             violations.append((u, verdict))

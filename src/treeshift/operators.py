@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedRepresentationError,
 )
 from .trees import OmegaVertex
-from .weights import WeightSystem, aluthge_weights
+from .weights import AluthgeWeights, WeightSystem, aluthge_weights
 
 __all__ = [
     "StructuredVector",
@@ -39,6 +39,7 @@ __all__ = [
     "expand",
     "truncate",
     "DomainVerdict",
+    "basis_domain_verdict",
     "apply_shift",
     "apply_adjoint",
     "apply_modulus_power",
@@ -215,20 +216,38 @@ class DomainVerdict:
         return self.status == "out"
 
 
-def _unmet(condition: str, v, verdict: series.SeriesVerdict, evidence=()) -> Optional[DomainVerdict]:
-    """The verdict an aggregate that does not converge forces: ``out`` with its
-    divergence certificate, or ``unknown`` when it is inconclusive."""
-    if isinstance(verdict, series.Diverges):
-        return DomainVerdict("out", condition, v, verdict.certificate, tuple(evidence))
-    if isinstance(verdict, series.Inconclusive):
-        return DomainVerdict("unknown", condition, v, evidence=tuple(evidence))
-    return None
+def basis_domain_verdict(w: WeightSystem, u, mu: Optional[AluthgeWeights]) -> DomainVerdict:
+    """The one verdict on the basis vector at ``u``: in the shift's domain
+    (``mu`` is ``None``) or in that of the transform with weights ``mu``.
+
+    The node norm comes first, since for t < 1 the transformed weights divide
+    by it; at t = 1 it is no condition, but an infinite one raises, as the
+    transform is then undefined.  A divergent aggregate gives ``out`` with its
+    certificate, an inconclusive one ``unknown``; ``evidence`` lists the
+    conditions met before the verdict.
+    """
+    checks = [("node-norm", w, "node-norm-finite")]
+    if mu is not None:
+        checks.append(("aluthge-weight-aggregate", mu, "aluthge-aggregate-finite"))
+    evidence = ()
+    for condition, system, label in checks:
+        verdict = system.aggregate(u)
+        if isinstance(verdict, series.Inconclusive):
+            return DomainVerdict("unknown", condition, u, evidence=evidence)
+        if system is w and mu is not None and mu.t == 1:
+            if isinstance(verdict, series.Diverges):
+                raise EvaluationError(f"node norm at {u!r} is infinite; the transform is undefined", vertex=u)
+        elif isinstance(verdict, series.Diverges):
+            return DomainVerdict("out", condition, u, verdict.certificate, evidence)
+        else:
+            evidence += ((u, label),)
+    return DomainVerdict("in", evidence=evidence)
 
 
 def _domain_norm(w: WeightSystem, v) -> float:
     """Finite node norm at ``v``; an infinite one puts the vector outside the domain."""
-    verdict = w.aggregate(v)
-    if isinstance(verdict, series.Diverges):
+    verdict = basis_domain_verdict(w, v, None)
+    if verdict.is_out:
         raise OutOfDomainError(
             f"vector leaves the domain: infinite node norm at {v!r}",
             vertex=v,
@@ -342,27 +361,17 @@ def apply_partial_isometry_adjoint(w: WeightSystem, f: StructuredVector) -> Stru
     return StructuredVector(None, out, None)
 
 
-def aluthge_basis_action(
-    w: WeightSystem, t: float, u
-) -> Union[StructuredVector, DomainVerdict]:
+def aluthge_basis_action(w: WeightSystem, t: float, u) -> Union[StructuredVector, DomainVerdict]:
     """Transform action on one basis vector, or the verdict excluding it.
 
-    The basis vector lies in the transform's domain exactly when the
-    transformed-weight aggregate at ``u`` converges (and, for t < 1, the node
-    norm is finite); the image is then the transformed node norm times the
-    bundle of the transformed system.
+    Inside the domain (``basis_domain_verdict``), the image is the
+    transformed node norm times the bundle of the transformed system.
     """
     mu = aluthge_weights(w, t)
-    agg = mu.aggregate(u)
-    unmet = _unmet("aluthge-weight-aggregate", u, agg)
-    if unmet is None and t < 1:
-        unmet = _unmet("node-norm", u, w.aggregate(u))
-    if unmet is not None:
-        return unmet
-    value = math.sqrt(agg.value)
-    if value == 0.0:
-        return zero_vector()
-    return StructuredVector(mu, None, {u: value})
+    verdict = basis_domain_verdict(w, u, mu)
+    if not verdict.is_in:
+        return verdict
+    return StructuredVector(mu, None, {u: mu.node_norm(u)})  # zero at a zero norm
 
 
 def adjoint_aluthge_basis_action(w: WeightSystem, t: float, v) -> StructuredVector:
@@ -409,33 +418,20 @@ def domain_check(w: WeightSystem, f: StructuredVector, t: Optional[float] = None
 
     Without ``t`` the domain is the shift's, which every positive power of
     its modulus shares; with ``t`` it is the transform's.  The adjoint needs
-    no check: it is defined on every finite combination.  Each support vertex
-    runs its checks in order: a divergent aggregate puts the vector out at
-    once, an inconclusive one skips the vertex's remaining checks, and the
-    last such vertex makes the verdict unknown.
+    no check: it is defined on every finite combination.  Of the support
+    vertices' ``basis_domain_verdict``s, an ``out`` one puts the vector out
+    at once and the last ``unknown`` one makes it unknown.
     """
     if f.b:
         raise UnsupportedRepresentationError("domain checks take plain basis combinations")
-    checks = [("node-norm", w.aggregate, "node-norm-finite")]
-    if t is not None:
-        if not 0 < t <= 1:
-            raise ValueError("aluthge needs t in (0, 1]")
-        mu = aluthge_weights(w, t)
-        transformed = ("aluthge-weight-aggregate", mu.aggregate, "aluthge-aggregate-finite")
-        checks = [transformed] if t == 1 else [transformed] + checks
-
-    evidence = []
+    mu = None if t is None else aluthge_weights(w, t)
+    evidence = ()
     unknown = None
     for v in f.support():
-        for condition, aggregate, label in checks:
-            unmet = _unmet(condition, v, aggregate(v), evidence)
-            if unmet is None:
-                evidence.append((v, label))
-            elif unmet.is_out:
-                return unmet
-            else:
-                unknown = unmet
-                break
-    if unknown is not None:
-        return replace(unknown, evidence=tuple(evidence))
-    return DomainVerdict(status="in", evidence=tuple(evidence))
+        verdict = basis_domain_verdict(w, v, mu)
+        evidence += verdict.evidence
+        if verdict.is_out:
+            return replace(verdict, evidence=evidence)
+        if not verdict.is_in:
+            unknown = verdict
+    return replace(unknown or DomainVerdict("in"), evidence=evidence)

@@ -51,6 +51,7 @@ __all__ = [
 
 DEFAULT_RANK_TOL = 1e-12
 _HYPONORMAL_TOL = 1e-9  # T*T - T T* counts as positive down to this eigenvalue
+_ALPHAS = (0.5, 1.0, 2.0)  # the powers of |T*| compared against projection sums
 
 
 @dataclass
@@ -230,7 +231,6 @@ def compare_with_formula(
     w: WeightSystem,
     tree: Optional[DirectedTree] = None,
     t_values: Sequence[float] = (0.5,),
-    alphas: Sequence[float] = (0.5, 1.0, 2.0),
 ) -> ComparisonReport:
     """Run every oracle-vs-formula comparison on one finite tree.
 
@@ -256,7 +256,7 @@ def compare_with_formula(
         mu_matrix = assemble(aluthge_weights(w, t)).matrix
         report.aluthge[t] = _max_abs(direct - mu_matrix)
 
-    for alpha in alphas:
+    for alpha in _ALPHAS:
         oracle_side = left_psd_power(factors, alpha)
         formula_side = projection_sum_matrix(w, dense, alpha)
         report.adjoint_modulus[alpha] = _max_abs(oracle_side - formula_side)

@@ -10,6 +10,7 @@ stream can at best earn the heuristic partial-sum certificate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -256,12 +257,14 @@ def inverse_square_sum() -> Converges:
 _MAX_START = 10**7
 
 
+@functools.lru_cache(maxsize=64)
 def closed_form_aggregate(growth: float) -> Diverges:
     """Divergence verdict for the sum over n >= 0 of growth^n / (n + 1)^2.
 
     Needs growth > 1.  Consecutive terms grow by growth * ((n+1)/(n+2))^2,
     which exceeds 1 from some index on; the divergence certificate carries
-    that index and ratio.
+    that index and ratio.  The verdict is frozen and depends on ``growth``
+    alone, so it is cached; a refusal is raised again on every call.
     """
     if not growth > 1.0:
         raise ValueError(f"no divergence certificate for growth {growth}; it must exceed 1")

@@ -99,9 +99,14 @@ class WeightSystem:
 
     def _summed_aggregate(self, u) -> series.SeriesVerdict:
         if self.tree.child_count(u) is not None:
-            total = math.fsum(self.child_terms(u))
-            if not math.isfinite(total):
-                raise EvaluationError(f"squared-weight sum at {u!r} is {total}", vertex=u)
+            try:
+                total = math.fsum(self.child_terms(u))
+            except OverflowError as exc:  # a weight, its square or fsum's running sum
+                raise OverflowError(f"squared-weight sum at {u!r} overflows") from exc
+            if total == math.inf:
+                raise OverflowError(f"squared-weight sum at {u!r} overflows")
+            if math.isnan(total):
+                raise EvaluationError(f"squared-weight sum at {u!r} is nan", vertex=u)
             return series.Converges(total, 0.0)
         stream = self.child_terms(u)
         return series.sum_series(stream, self.policy, certificate=self._divergence_claim(u))

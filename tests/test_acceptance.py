@@ -49,7 +49,7 @@ def corpus():
 def corpus_reports(corpus):
     start = time.perf_counter()
     reports = [
-        compare_with_formula(w, tree, t_values=T_VALUES, alphas=ALPHAS)
+        compare_with_formula(w, tree, t_values=T_VALUES)
         for tree, w in corpus
     ]
     elapsed = time.perf_counter() - start

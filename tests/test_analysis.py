@@ -13,8 +13,14 @@ from treeshift.analysis import (
     strict_inclusion_example,
     strict_inclusion_weight,
 )
-from treeshift.errors import CertificateError, NoWitnessError
-from treeshift.operators import basis_vector
+from treeshift.errors import CertificateError, EvaluationError, NoWitnessError
+from treeshift.operators import (
+    DomainVerdict,
+    aluthge_basis_action,
+    basis_domain_verdict,
+    basis_vector,
+    domain_check,
+)
 from treeshift.series import (
     Diverges,
     EventuallyIncreasing,
@@ -414,3 +420,101 @@ class TestStrictInclusion:
         # while the base operator itself is unbounded along the path
         norms = [w.node_norm(2 * k) for k in range(1, 6)]
         assert all(b > a for a, b in zip(norms, norms[1:]))
+
+
+class TestOneDomainRoute:
+    """The five domain callers read one per-vertex verdict, so they agree."""
+
+    T_VALUES = (0.5, 1.0)
+
+    @staticmethod
+    def undetermined():
+        # every node norm sums 100 unit terms and stops: inconclusive
+        return CallableWeights(omega_tree(), lambda v: 1.0, policy=SumPolicy(max_terms=100))
+
+    @staticmethod
+    def divergent():
+        return CallableWeights(
+            omega_tree(), lambda v: 1.0, divergence_claims=lambda u: TermsDoNotVanish(0, 1.0)
+        )
+
+    @pytest.mark.parametrize("t", T_VALUES)
+    def test_undetermined_norm_is_unknown_everywhere(self, t):
+        w, u = self.undetermined(), OmegaVertex(0)
+        unknown = DomainVerdict(status="unknown", condition="node-norm", vertex=u)
+        assert domain_check(w, basis_vector(u), t=t) == unknown
+        assert aluthge_basis_action(w, t, u) == unknown
+        assert basis_domain_verdict(w, u, aluthge_weights(w, t)) == unknown
+        assert check_densely_defined(w, sample=[u]).status == "inconclusive"
+        report = certify_trivial_aluthge_domain(w, t, sample=[u])
+        assert report.status == "inconclusive"
+        assert report.per_vertex == {}
+        # every vertex of the tree branches infinitely, so the hypothesis of
+        # the branching check never holds and it reads no verdict
+        assert branching_necessity_check(w, t, sample=[u]).status == "vacuous"
+
+    def test_divergent_norm_is_out_below_one(self):
+        w, u = self.divergent(), OmegaVertex(0)
+        base = w.aggregate(u).certificate
+        out = DomainVerdict(status="out", condition="node-norm", vertex=u, certificate=base)
+        assert domain_check(w, basis_vector(u), t=0.5) == out
+        assert aluthge_basis_action(w, 0.5, u) == out
+        assert check_densely_defined(w, sample=[u]).status == "counterexample"
+        report = certify_trivial_aluthge_domain(w, 0.5, sample=[u])
+        assert report.status == "certified-sample"
+        assert report.per_vertex == {"0:": base}
+
+    def test_divergent_norm_raises_at_one(self):
+        w, u = self.divergent(), OmegaVertex(0)
+        calls = [
+            lambda: domain_check(w, basis_vector(u), t=1.0),
+            lambda: aluthge_basis_action(w, 1.0, u),
+            lambda: certify_trivial_aluthge_domain(w, 1.0, sample=[u]),
+        ]
+        for call in calls:
+            with pytest.raises(EvaluationError, match="infinite; the transform is undefined"):
+                call()
+
+    def test_node_norm_is_no_condition_at_one(self):
+        w = TableWeights(finite_tree([None, 0, 0]), {1: 1.0, 2: 2.0})
+        norm, transformed = (0, "node-norm-finite"), (0, "aluthge-aggregate-finite")
+        for t, evidence in [(0.5, (norm, transformed)), (1.0, (transformed,))]:
+            verdict = basis_domain_verdict(w, 0, aluthge_weights(w, t))
+            assert verdict.is_in
+            assert verdict.evidence == evidence
+        assert basis_domain_verdict(w, 0, None).evidence == (norm,)
+
+    @staticmethod
+    def statuses(w, t, u) -> set:
+        """The in/out/unknown answer of each caller at ``u``, as one set."""
+        action = aluthge_basis_action(w, t, u)
+        certify = {"refuted": "in", "inconclusive": "unknown"}.get(
+            certify_trivial_aluthge_domain(w, t, sample=[u]).status, "out"
+        )
+        answers = {
+            domain_check(w, basis_vector(u), t=t).status,
+            action.status if isinstance(action, DomainVerdict) else "in",
+            certify,
+        }
+        branching = branching_necessity_check(w, t, sample=[u])
+        if branching.status != "vacuous":
+            answers.add(branching.violations[0][1].status if branching.violations else "in")
+        return answers
+
+    @pytest.mark.parametrize("t", T_VALUES)
+    def test_callers_agree_on_the_random_corpus(self, t):
+        from treeshift.oracle import random_tree_corpus
+
+        for tree, w in random_tree_corpus(16, seed=2024, max_vertices=16, complex_count=4):
+            for u in tree.vertices():
+                assert self.statuses(w, t, u) == {"in"}, (tree, u)
+
+    @pytest.mark.parametrize("t", T_VALUES)
+    def test_callers_agree_on_infinite_trees(self, t):
+        cases = [
+            (OmegaShiftWeights(), OmegaVertex(1, (2,)), "out"),
+            (self.undetermined(), OmegaVertex(0), "unknown"),
+            (CallableWeights(nat_path(), lambda v: 2.0), 3, "in"),
+        ]
+        for w, u, expected in cases:
+            assert self.statuses(w, t, u) == {expected}

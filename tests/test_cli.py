@@ -255,12 +255,13 @@ class TestNumericalFailures:
         assert err.startswith("numerical failure:")
 
     def test_overflowing_path_weight(self, tmp_path, capsys):
-        doc = {"family": "nat_path", "weights": {"kind": "geometric", "base": 1e308, "scale": 1e308}}
-        code, report, err = run(capsys, ["analyze", write(tmp_path, "tree.json", doc), "--t", "0.5"])
-        assert code == 3
-        assert report is None
-        assert err.startswith("numerical failure:")
-        assert "Traceback" not in err
+        # the first weight overflows itself; the second is finite, but its square is not
+        for base, scale in [(1e308, 1e308), (1e300, 1.0)]:
+            doc = {"family": "nat_path", "weights": {"kind": "geometric", "base": base, "scale": scale}}
+            code, report, err = run(capsys, ["analyze", write(tmp_path, "tree.json", doc), "--t", "0.5"])
+            assert code == 3
+            assert report is None
+            assert err == "numerical failure: squared-weight sum at 0 overflows\n"
 
     def test_witness_growth_too_close_to_one(self, capsys):
         # 4^(1-t) is so close to 1 that the certificate would start past 10**7

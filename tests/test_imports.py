@@ -112,3 +112,48 @@ def test_analysis_names_no_family_class():
 def test_layering_checker_flags_a_family_class():
     source = "def f():\n    from .weights import CallableWeights, OmegaShiftWeights, WeightSystem\n"
     assert imported_family_classes(source) == ["OmegaShiftWeights"]
+
+
+# The series verdicts; only ``operators.basis_domain_verdict`` turns one into
+# a domain status.
+SERIES_VERDICTS = ("Converges", "Diverges", "Inconclusive")
+
+
+def verdict_readers(source: str) -> list:
+    """Top-level functions (or ``<module>``) of a module that name a series
+    verdict class, bare, as an attribute or in an import."""
+    tree = ast.parse(source)
+
+    def names(node) -> set:
+        found = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                found.update(alias.name for alias in sub.names)
+        return found & set(SERIES_VERDICTS)
+
+    readers = set()
+    for node in tree.body:
+        if names(node):
+            is_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            readers.add(node.name if is_function else "<module>")
+    return sorted(readers)
+
+
+def test_one_function_classifies_series_verdicts():
+    assert verdict_readers((PACKAGE / "analysis.py").read_text(encoding="utf-8")) == []
+    assert verdict_readers((PACKAGE / "operators.py").read_text(encoding="utf-8")) == [
+        "basis_domain_verdict"
+    ]
+
+
+def test_verdict_check_flags_a_planted_classification():
+    source = (
+        "from .series import Diverges\n\n\n"
+        "def density(w, u):\n    return isinstance(w.aggregate(u), series.Converges)\n\n\n"
+        "def untouched(w, u):\n    return w.node_norm(u)\n"
+    )
+    assert verdict_readers(source) == ["<module>", "density"]

@@ -476,11 +476,11 @@ class TestUndeterminedNodeNorm:
     def test_leaf_in_transform_domain(self, w):
         verdict = domain_check(w, basis_vector(1), t=0.5)
         assert verdict.is_in
-        assert verdict.evidence == ((1, "aluthge-aggregate-finite"), (1, "node-norm-finite"))
+        assert verdict.evidence == ((1, "node-norm-finite"), (1, "aluthge-aggregate-finite"))
 
-    def test_transform_action_at_root_raises(self, w):
-        with pytest.raises(EvaluationError):
-            aluthge_basis_action(w, 0.5, 0)
+    def test_transform_action_at_root_is_unknown(self, w):
+        verdict = aluthge_basis_action(w, 0.5, 0)
+        assert verdict == DomainVerdict(status="unknown", condition="node-norm", vertex=0)
 
     def test_last_unknown_vertex_is_reported(self):
         # 0 has the children 1 and 2; each of them has the children (u, 1), (u, 2), ...
