@@ -33,13 +33,6 @@ from .operators import (
     truncate,
     zero_vector,
 )
-from .oracle import (
-    assemble,
-    compare_with_formula,
-    matrix_aluthge,
-    polar,
-    random_tree_corpus,
-)
 from .series import (
     Converges,
     Diverges,
@@ -79,3 +72,16 @@ from .weights import (
     node_norm,
     polar_weights,
 )
+
+
+# The oracle is the one module that needs numpy, so it loads on first use.
+_ORACLE_NAMES = ("assemble", "compare_with_formula", "matrix_aluthge", "polar", "random_tree_corpus")
+
+
+def __getattr__(name):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        import importlib
+
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,9 +13,8 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import asdict
 
-from . import __version__, analysis, oracle
+from . import __version__, analysis
 from .errors import NoWitnessError, OracleError, TreeShiftError
 from .operators import basis_vector
 from .trees import (
@@ -199,7 +198,7 @@ def _pair(z: complex) -> list:
 def cert_dict(cert) -> dict:
     if cert is None:
         return None
-    return {"kind": cert.kind, **asdict(cert)}
+    return {"kind": cert.kind, **vars(cert)}  # the fields are plain numbers
 
 
 def _margin_dict(margins: dict) -> dict:
@@ -344,13 +343,17 @@ def cmd_oracle(args) -> int:
         raise ParseError("--t needs at least one value")
     if args.random is not None:
         _check_at_least(args.random, 1, "--random")
+        _check_at_least(args.seed, 0, "--seed")
+    elif args.file is None:
+        raise ParseError("oracle needs a tree file or --random N")
+    from . import oracle  # numpy loads here; no other command needs it
+
+    if args.random is not None:
         instances = oracle.random_tree_corpus(
             args.random, args.seed, complex_count=max(1, args.random // 10)
         )
         source = {"random": args.random, "seed": args.seed}
     else:
-        if args.file is None:
-            raise ParseError("oracle needs a tree file or --random N")
         weights, meta = load_tree_spec(args.file)
         if not weights.tree.is_finite:
             raise ParseError("oracle requires a finite tree")

@@ -173,6 +173,18 @@ class TestOracleCommand:
         assert code == 0
         assert report["max_discrepancy"] <= 1e-8
 
+    # numpy's ``default_rng`` used to refuse the seed without naming the flag.
+    def test_negative_seed_names_the_flag(self, capsys):
+        code, report, err = run(capsys, ["oracle", "--random", "3", "--seed", "-1"])
+        assert (code, report, err) == (1, None, "error: --seed must be at least 0, got -1\n")
+
+    def test_file_run_ignores_the_seed(self, tmp_path, capsys):
+        path = write(tmp_path, "tree.json", FOUR_VERTEX)
+        code, report, _ = run(capsys, ["oracle", path, "--t", "0.5", "--seed", "-1"])
+        assert code == 0
+        assert report["seed"] == -1
+        assert report["inputs"]["source"] == {"file": FOUR_VERTEX}
+
 
 class TestWitnessCommand:
     def test_default_vertex_crossing(self, capsys):

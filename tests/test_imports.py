@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
-function a package module defines is used somewhere, and the analysis layer
-reaches family facts only through weight-system hooks.
+function a package module defines is used somewhere, the analysis layer
+reaches family facts only through weight-system hooks, and numpy loads only
+with the oracle.
 
 ``__init__.py`` is exempt from the first check: its imports are the public
 re-exports.
@@ -8,8 +9,12 @@ re-exports.
 
 import ast
 import collections
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -157,3 +162,131 @@ def test_verdict_check_flags_a_planted_classification():
         "def untouched(w, u):\n    return w.node_norm(u)\n"
     )
     assert verdict_readers(source) == ["<module>", "density"]
+
+
+# numpy serves only the dense oracle, so it loads with ``oracle`` and with
+# nothing else: an import of either runs in a function body or not at all.
+LAZY = ("numpy", "oracle")
+
+
+def eager_imports(source: str) -> list:
+    """Imports of numpy or of the ``oracle`` module that run when the module
+    loads, that is anywhere outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                dotted = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                base = child.module or ""
+                dotted = [base] + [f"{base}.{alias.name}" for alias in child.names]
+            else:
+                dotted = []
+            parts = {part for name in dotted for part in name.split(".")}
+            found.extend(f"{lazy} (line {child.lineno})" for lazy in LAZY if lazy in parts)
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_and_the_oracle_load_only_on_use(path):
+    found = eager_imports(path.read_text(encoding="utf-8"))
+    if path.name == "oracle.py":
+        found = [entry for entry in found if not entry.startswith("numpy ")]
+    assert found == []
+
+
+def test_eager_import_check_flags_planted_imports():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import svd\n"
+        "from . import analysis, oracle\n"
+        "from .oracle import polar\n"
+        "import treeshift.oracle\n"
+        "try:\n    import numpy.random\nexcept ImportError:\n    pass\n"
+        "from .trees import oracle_free\n\n\n"
+        "def cmd_oracle(args):\n    from . import oracle\n    import numpy\n\n\n"
+        "def __getattr__(name):\n    from .oracle import polar\n    return polar\n"
+    )
+    assert eager_imports(source) == [
+        "numpy (line 1)",
+        "numpy (line 2)",
+        "numpy (line 7)",
+        "oracle (line 3)",
+        "oracle (line 4)",
+        "oracle (line 5)",
+    ]
+
+
+ORACLE_NAMES = ("assemble", "compare_with_formula", "matrix_aluthge", "polar", "random_tree_corpus")
+
+
+def test_oracle_names_are_the_oracle_modules():
+    import treeshift
+    from treeshift import assemble, compare_with_formula, matrix_aluthge, polar, random_tree_corpus
+
+    oracle = sys.modules["treeshift.oracle"]
+    assert treeshift.oracle is oracle
+    names = (assemble, compare_with_formula, matrix_aluthge, polar, random_tree_corpus)
+    for name, value in zip(ORACLE_NAMES, names):
+        assert value is getattr(oracle, name)
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    import treeshift
+
+    with pytest.raises(AttributeError, match="module 'treeshift' has no attribute 'no_such_name'"):
+        treeshift.no_such_name
+
+
+# pytest's ``filterwarnings`` setting imports numpy into this process, so each
+# probe runs in a fresh interpreter and reports its exit code and whether
+# numpy was loaded.
+PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import treeshift
+    code = 0
+elif argv == []:
+    import treeshift.cli
+    code = 0
+else:
+    from treeshift import cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (None, False),
+        ([], False),
+        (["analyze", "{paper}"], False),
+        (["witness", "--t", "0.5", "--K", "40"], False),
+        (["aluthge-weights", "{paper}"], False),
+        (["oracle", "--random", "2"], True),
+    ],
+    ids=["import-treeshift", "import-cli", "analyze", "witness", "aluthge-weights", "oracle"],
+)
+def test_only_the_oracle_command_loads_numpy(tmp_path, argv, loads_numpy):
+    paper = tmp_path / "paper.json"
+    paper.write_text(json.dumps({"family": "paper"}))
+    if argv:
+        argv = [arg.format(paper=paper) for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, loads_numpy]
