@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -430,6 +431,7 @@ def cmd_witness(args) -> int:
 # -- entry point ------------------------------------------------------------
 
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treeshift",

@@ -169,21 +169,26 @@ def verify_certificate(
         if seen == 0:
             raise CertificateError("stream ended before the claimed start index")
         return
+    ratio = certificate.ratio
+    slack = 1 - _REL_SLACK
+    isnan = math.isnan
     prev = None
     checked = 0
     for n, term in window:
-        if math.isnan(term):
-            if n >= start:
-                raise CertificateError(f"term {n} is not a number")
-            break
-        if n == start and term <= 0:
-            raise CertificateError("term at the start index must be positive")
-        if n > start and prev is not None:
+        if n < start:
+            if isnan(term):
+                break
+            continue
+        if isnan(term):
+            raise CertificateError(f"term {n} is not a number")
+        if prev is None:  # the start index
+            if term <= 0:
+                raise CertificateError("term at the start index must be positive")
+        else:
             checked += 1
-            if term < prev * certificate.ratio * (1 - _REL_SLACK):
-                raise CertificateError(f"ratio at term {n} drops below the claimed {certificate.ratio}")
-        if n >= start:
-            prev = term
+            if term < prev * ratio * slack:
+                raise CertificateError(f"ratio at term {n} drops below the claimed {ratio}")
+        prev = term
     if checked == 0:
         raise CertificateError("stream ended before the claimed start index")
 

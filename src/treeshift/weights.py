@@ -21,7 +21,7 @@ import math
 from typing import Callable, Iterator, Mapping, Optional
 
 from . import series
-from .errors import EvaluationError, StructureError
+from .errors import EvaluationError, StructureError, UndeterminedNormError
 from .trees import DescendantSubtree, DirectedTree, OmegaTree
 
 __all__ = [
@@ -137,9 +137,10 @@ class WeightSystem:
         evaluation error naming ``vertex`` (default ``u``)."""
         s = self.node_norm(u)
         if not math.isfinite(s):
-            state = "infinite" if s == math.inf else "undetermined"
             named = u if vertex is None else vertex
-            raise EvaluationError(f"node norm at {u!r} is {state}", vertex=named)
+            if s == math.inf:
+                raise EvaluationError(f"node norm at {u!r} is infinite", vertex=named)
+            raise UndeterminedNormError(f"node norm at {u!r} is undetermined", vertex=named)
         return s
 
 
@@ -229,8 +230,9 @@ class OmegaShiftWeights(WeightSystem):
         self.tree.require_vertex(u)
         s = u.digit_sum
         inv_sq = series.inverse_square_sum().value
+        scale = 2.0**s
         for n in itertools.count(first):
-            yield math.sqrt(4.0 ** (s + n) * inv_sq), complex(2.0**s / (n + 1))
+            yield math.sqrt(4.0 ** (s + n) * inv_sq), complex(scale / (n + 1))
 
     def _aluthge_closed_form(self, u, t):
         # squared transformed child weights are 4^S(u) * 4^(t n) / (n + 1)^2;
@@ -312,7 +314,10 @@ class AluthgeWeights(WeightSystem):
     def weight(self, v) -> complex:
         self._require_non_root(v)
         parent_norm = self.base.finite_norm(self.tree.parent(v), vertex=v)
-        return self._scaled(self.base.finite_norm(v), parent_norm, self.base.weight(v))
+        child_norm, weight = self.base.finite_norm(v), self.base.weight(v)
+        if parent_norm == 0.0:
+            return 0j
+        return (child_norm / parent_norm) ** self.t * weight
 
     def child_terms(self, u, first=0):
         # The parent norm is the same for every child: take it once, before
@@ -322,13 +327,24 @@ class AluthgeWeights(WeightSystem):
             break
         else:
             return
-        for child_norm, weight in self.base.child_norms_and_weights(u, first):
-            yield abs(self._scaled(child_norm, parent_norm, weight)) ** 2
-
-    def _scaled(self, child_norm: float, parent_norm: float, weight: complex) -> complex:
+        pairs = self.base.child_norms_and_weights(u, first)
         if parent_norm == 0.0:
-            return 0j
-        return (child_norm / parent_norm) ** self.t * complex(weight)
+            # every term is 0, but each child is still read, so a norm or
+            # weight that ``weight`` would refuse is refused here too
+            for _ in pairs:
+                yield 0.0
+            return
+        t = self.t
+        for child_norm, weight in pairs:
+            yield abs((child_norm / parent_norm) ** t * weight) ** 2
+
+    def _summed_aggregate(self, u):
+        # A transformed weight that needs an undetermined base norm is
+        # undetermined, and so is the sum over it; an infinite norm raises.
+        try:
+            return super()._summed_aggregate(u)
+        except UndeterminedNormError:
+            return series.Inconclusive(math.nan, 0)
 
     def _closed_form(self, u):
         return self.base._aluthge_closed_form(u, self.t)

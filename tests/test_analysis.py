@@ -453,6 +453,33 @@ class TestOneDomainRoute:
         # the branching check never holds and it reads no verdict
         assert branching_necessity_check(w, t, sample=[u]).status == "vacuous"
 
+    def test_undetermined_child_norm_is_unknown_everywhere(self):
+        # the root's children 1 and 2 each have the children (a, 0), (a, 1),
+        # ... weighing 1/(k+1): 100 terms leave the norms at 1 and 2 open
+        tree = LazyTree(
+            root=0,
+            parent_fn=lambda v: None if v == 0 else (0 if v in (1, 2) else v[0]),
+            children_fn=lambda u: [1, 2] if u == 0 else (zip(itertools.repeat(u), itertools.count()) if u in (1, 2) else ()),
+            child_count_fn=lambda u: 2 if u == 0 else (None if u in (1, 2) else 0),
+            contains_fn=lambda v: v in (0, 1, 2) or (isinstance(v, tuple) and v[0] in (1, 2) and v[1] >= 0),
+        )
+        w = CallableWeights(tree, lambda v: 1.0 if v in (1, 2) else 1.0 / (v[1] + 1), policy=SumPolicy(max_terms=100))
+        unknown = DomainVerdict(
+            status="unknown", condition="aluthge-weight-aggregate", vertex=0, evidence=((0, "node-norm-finite"),)
+        )
+        assert domain_check(w, basis_vector(0), t=0.5) == unknown
+        assert aluthge_basis_action(w, 0.5, 0) == unknown
+        report = certify_trivial_aluthge_domain(w, 0.5, sample=[0])
+        assert report.status == "inconclusive"
+        assert report.per_vertex == {}
+        assert branching_necessity_check(w, 0.5, sample=[0]).violations == ((0, unknown),)
+        assert self.statuses(w, 0.5, 0) == {"unknown"}
+        # an infinite child norm still raises
+        claims = lambda u: TermsDoNotVanish(0, 1.0) if u in (1, 2) else None
+        w = CallableWeights(tree, lambda v: 1.0, divergence_claims=claims)
+        with pytest.raises(EvaluationError, match="^node norm at 1 is infinite$"):
+            domain_check(w, basis_vector(0), t=0.5)
+
     def test_divergent_norm_is_out_below_one(self):
         w, u = self.divergent(), OmegaVertex(0)
         base = w.aggregate(u).certificate

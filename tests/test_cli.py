@@ -1,13 +1,18 @@
+import argparse
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeshift import analysis
-from treeshift.cli import ParseError, cert_dict, emit, load_tree_spec, main
+from treeshift.cli import ParseError, build_parser, cert_dict, emit, load_tree_spec, main
 from treeshift.series import EventuallyIncreasing, PartialSumExceeds, TermsDoNotVanish
 from treeshift.trees import OmegaVertex
 
@@ -520,6 +525,30 @@ class TestUsage:
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real = argparse.ArgumentParser.add_subparsers
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "add_subparsers", lambda self, **kw: built.append(1) or real(self, **kw)
+        )
+        build_parser.cache_clear()
+        path = write(tmp_path, "paper.json", {"family": "paper"})
+        assert main(["analyze"]) == 1
+        capsys.readouterr()
+        assert main(["analyze", path]) == 0
+        out = capsys.readouterr().out
+        assert built == [1]
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        fresh = subprocess.run(
+            [sys.executable, "-m", "treeshift.cli", "analyze", path],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert out == fresh.stdout
 
 
 class TestCertificateSerialization:

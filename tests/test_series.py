@@ -191,9 +191,10 @@ class TestNanInWindow:
         # the claims say nothing before their start: the bound check skips
         # such a term, and the ratio check still ends there
         terms = [1.0, math.nan] + [2.0**n for n in range(2, 64)]
-        verify_certificate(TermsDoNotVanish(2, 0.5), iter(terms), 48)
-        with pytest.raises(CertificateError, match="^stream ended before the claimed start index$"):
-            verify_certificate(EventuallyIncreasing(2, 1.5), iter(terms), 48)
+        for first in (0, 1):
+            verify_certificate(TermsDoNotVanish(2, 0.5), iter(terms[first:]), 48, first=first)
+            with pytest.raises(CertificateError, match="^stream ended before the claimed start index$"):
+                verify_certificate(EventuallyIncreasing(2, 1.5), iter(terms[first:]), 48, first=first)
 
     def test_nan_past_window_not_read(self):
         terms = [2.0**n for n in range(48)] + [math.nan]
@@ -264,6 +265,15 @@ class TestCertificateFromStart:
         with pytest.raises(CertificateError, match="ratio at term 7 drops"):
             verify_certificate(EventuallyIncreasing(6, 2.0), iter(terms[6:]), 16, first=6)
         verify_certificate(EventuallyIncreasing(7, 2.0), iter(terms[7:]), 16, first=7)
+        # a term exactly at the slackened bound prev * ratio * (1 - 1e-9)
+        # passes, and the next double toward 0 drops below it
+        at_bound = [1.0]
+        for _ in range(24):
+            at_bound.append(at_bound[-1] * 1.1 * (1 - 1e-9))
+        verify_certificate(EventuallyIncreasing(2, 1.1), iter(at_bound[1:]), 16, first=1)
+        below = at_bound[:9] + [math.nextafter(at_bound[9], 0.0)] + at_bound[10:]
+        with pytest.raises(CertificateError, match="^ratio at term 9 drops below the claimed 1.1$"):
+            verify_certificate(EventuallyIncreasing(2, 1.1), iter(below[1:]), 16, first=1)
 
     @pytest.mark.parametrize("count, start, first", [(48, 2, 2), (48, 40, 40), (10, 5, 0)])
     def test_reads_exactly_the_window(self, count, start, first):

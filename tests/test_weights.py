@@ -271,10 +271,15 @@ def weight_by_weight(mu, u, count, first=0):
     return [abs(mu.weight(v)) ** 2 for v in itertools.islice(mu.tree.children(u, first), count)]
 
 
+def hexes(terms):
+    """The terms as exact hex strings, so that equal lists are bit-equal."""
+    return [term.hex() for term in terms]
+
+
 class TestChildTerms:
     """``child_terms`` equals the squared weights taken one ``weight`` call at a time."""
 
-    @pytest.mark.parametrize("t", [1.0, 0.5, 0.02])
+    @pytest.mark.parametrize("t", [1.0, 0.5, 0.1, 0.02])
     @pytest.mark.parametrize(
         "tree, vertices",
         [
@@ -289,17 +294,19 @@ class TestChildTerms:
     def test_omega_family_bit_equal(self, t, tree, vertices):
         mu = aluthge_weights(OmegaShiftWeights(tree), t)
         for u in vertices:
-            got = list(itertools.islice(mu.child_terms(u), 64))
-            assert got == weight_by_weight(mu, u, 64)
+            for first in (0, 1, 13, 71):
+                got = itertools.islice(mu.child_terms(u, first), 64)
+                assert hexes(got) == hexes(weight_by_weight(mu, u, 64, first))
 
     def test_finite_tree_with_zero_norm_vertex(self):
         # vertex 1 has norm 0 (both child weights vanish); 2, 3 and 5 are leaves
         tree = finite_tree([None, 0, 1, 1, 0, 4])
         w = TableWeights(tree, {1: 1.5, 2: 0.0, 3: 0.0, 4: 0.5 - 2j, 5: 3.0})
-        for t in (1.0, 0.5, 0.02):
+        for t in (1.0, 0.5, 0.1, 0.02):
             mu = aluthge_weights(w, t)
             for u in tree.vertices():
-                assert list(mu.child_terms(u)) == weight_by_weight(mu, u, 64)
+                for first in range(3):
+                    assert hexes(mu.child_terms(u, first)) == hexes(weight_by_weight(mu, u, 64, first))
             assert list(w.child_terms(0)) == [abs(w.weight(v)) ** 2 for v in (1, 4)]
 
     @pytest.mark.parametrize("first", [1, 13, 71])
@@ -428,3 +435,24 @@ class TestUndeterminedNorm:
         assert report.verdict == "unknown"
         assert "child norm undetermined" in report.notes
         assert report.margins == {}
+
+    def test_transform_at_zero_norm_parent_reads_the_child_norm_first(self):
+        # vertex 0's single child 1 weighs 0, so 0 has norm 0; the children
+        # 2, 3, ... of 1 weigh 1/v, and 100 terms leave 1's norm undetermined
+        tree = LazyTree(
+            root=0,
+            parent_fn=lambda v: None if v == 0 else (0 if v == 1 else 1),
+            children_fn=lambda u: [1] if u == 0 else (itertools.count(2) if u == 1 else ()),
+            child_count_fn=lambda u: 1 if u == 0 else (None if u == 1 else 0),
+            contains_fn=lambda v: isinstance(v, int) and v >= 0,
+        )
+        w = CallableWeights(tree, lambda v: 0.0 if v == 1 else 1.0 / v, policy=SumPolicy(max_terms=100))
+        assert node_norm(w, 0) == 0.0 and math.isnan(node_norm(w, 1))
+        mu = aluthge_weights(w, 0.5)
+        # parent norm, then the child's norm and weight, then the zero check
+        with pytest.raises(EvaluationError, match="^node norm at 1 is undetermined$") as by_weight:
+            mu.weight(1)
+        with pytest.raises(EvaluationError, match="^node norm at 1 is undetermined$") as by_stream:
+            next(mu.child_terms(0))
+        assert by_weight.value.vertex == by_stream.value.vertex == 1
+        assert isinstance(mu.aggregate(0), Inconclusive)
