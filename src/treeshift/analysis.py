@@ -180,7 +180,8 @@ def certify_trivial_aluthge_domain(w: WeightSystem, t: float, sample=None) -> Tr
     at a vertex, ``in`` refutes, ``unknown`` leaves the report inconclusive
     and ``out`` gives its certificate.  Family-level certification needs
     closed forms at every vertex; sampled analytic certificates are
-    re-verified against their term streams.
+    re-verified against their term streams, once per stream that the weight
+    system's ``_stream_key`` says several vertices share.
     """
     mu = aluthge_weights(w, t)
     vertices = _default_sample(w, sample)
@@ -188,6 +189,7 @@ def certify_trivial_aluthge_domain(w: WeightSystem, t: float, sample=None) -> Tr
     per_vertex = {}
     heuristic = False
     inconclusive = False
+    verified = set()  # (stream key, certificate) pairs already checked
     for i, u in enumerate(vertices):
         verdict = basis_domain_verdict(w, u, mu)
         if verdict.is_in:
@@ -203,8 +205,11 @@ def certify_trivial_aluthge_domain(w: WeightSystem, t: float, sample=None) -> Tr
         elif verdict.condition == "aluthge-weight-aggregate":
             # checked from the claim's start, so no earlier child is built;
             # sum_series already checked a node-norm claim
-            terms = mu.child_terms(u, cert.start)
-            series.verify_certificate(cert, terms, _CERT_VERIFY_TERMS, first=cert.start)
+            key = w._stream_key(u)
+            if key is None or (key, cert) not in verified:
+                terms = mu.child_terms(u, cert.start)
+                series.verify_certificate(cert, terms, _CERT_VERIFY_TERMS, first=cert.start)
+                verified.add((key, cert))
         per_vertex[format_vertex(u)] = cert
 
     if family_cert is not None:

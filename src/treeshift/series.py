@@ -129,7 +129,9 @@ def verify_certificate(
     ratio.  A partial-sum claim is checked from index 0 only.  Raises
     :class:`CertificateError` on any contradiction.  Passing proves nothing
     beyond the sampled window; the analytic validity of the claim is the
-    caller's responsibility.
+    caller's responsibility.  A NaN ratio is a contradiction too; a ratio
+    within the float slack of 1, which a shrinking stream would pass, raises
+    ``ArithmeticError`` before any term is read.
     """
     if isinstance(certificate, PartialSumExceeds):
         if first != 0:
@@ -146,8 +148,13 @@ def verify_certificate(
         if certificate.lower_bound <= 0:
             raise CertificateError("lower bound must be positive")
     elif isinstance(certificate, EventuallyIncreasing):
-        if certificate.ratio <= 1:
+        if not certificate.ratio > 1:  # also refuses NaN
             raise CertificateError("ratio must exceed 1")
+        if not certificate.ratio * (1 - _REL_SLACK) > 1:
+            raise ArithmeticError(
+                f"claimed ratio {certificate.ratio} lies within the float slack of 1; "
+                "no float check can confirm it"
+            )
     else:
         raise CertificateError(f"unknown certificate {certificate!r}")
     start = certificate.start
@@ -268,8 +275,10 @@ def closed_form_aggregate(growth: float) -> Diverges:
 
     Needs growth > 1.  Consecutive terms grow by growth * ((n+1)/(n+2))^2,
     which exceeds 1 from some index on; the divergence certificate carries
-    that index and ratio.  The verdict is frozen and depends on ``growth``
-    alone, so it is cached; a refusal is raised again on every call.
+    that index and ratio, which may lie within the float slack of 1; then
+    ``verify_certificate`` refuses to check it.  The verdict is frozen and
+    depends on ``growth`` alone, so it is cached; a refusal is raised again
+    on every call.
     """
     if not growth > 1.0:
         raise ValueError(f"no divergence certificate for growth {growth}; it must exceed 1")

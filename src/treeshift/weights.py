@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Hashable, Iterator, Mapping, Optional
 
 from . import series
 from .errors import EvaluationError, StructureError, UndeterminedNormError
@@ -41,13 +41,14 @@ class WeightSystem:
     """Base class: weights live on non-root vertices of ``tree``.
 
     A family states its analytic facts through hooks that the analysis layer
-    reads without naming a class; the built-in family overrides all six:
+    reads without naming a class; the built-in family overrides all seven:
     ``_closed_form`` and ``_aluthge_closed_form`` (aggregates of the system
     and of its transforms), ``closed_form_total`` (they cover every vertex),
     ``child_norms_and_weights`` (the children's norms and weights, streamed),
-    ``_family_margin`` (the vertex-independent hyponormality margin, or
-    ``None``) and ``_pairing_growth`` (the witness's pairing terms and their
-    ratio limit; the base class refuses the witness).
+    ``_stream_key`` (vertices that share that stream), ``_family_margin``
+    (the vertex-independent hyponormality margin, or ``None``) and
+    ``_pairing_growth`` (the witness's pairing terms and their ratio limit;
+    the base class refuses the witness).
     """
 
     closed_form_total = False
@@ -73,6 +74,13 @@ class WeightSystem:
         return None
 
     def _divergence_claim(self, u) -> Optional[series.DivergenceCertificate]:
+        return None
+
+    def _stream_key(self, u) -> Optional[Hashable]:
+        """A key shared by vertices with the same node norm and the same
+        ``child_norms_and_weights`` stream, so every stream derived from
+        them (a transform's child terms) is the same; ``None`` shares
+        nothing."""
         return None
 
     def _family_margin(self) -> Optional[series.Converges]:
@@ -233,6 +241,12 @@ class OmegaShiftWeights(WeightSystem):
         scale = 2.0**s
         for n in itertools.count(first):
             yield math.sqrt(4.0 ** (s + n) * inv_sq), complex(scale / (n + 1))
+
+    def _stream_key(self, u):
+        # ``_closed_form`` and ``child_norms_and_weights`` read nothing of u
+        # but its digit sum; the vertex is still checked, as a stream is.
+        self.tree.require_vertex(u)
+        return u.digit_sum
 
     def _aluthge_closed_form(self, u, t):
         # squared transformed child weights are 4^S(u) * 4^(t n) / (n + 1)^2;

@@ -1,9 +1,11 @@
+import collections
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from treeshift import series
 from treeshift.analysis import (
     branching_necessity_check,
     certify_trivial_aluthge_domain,
@@ -13,7 +15,7 @@ from treeshift.analysis import (
     strict_inclusion_example,
     strict_inclusion_weight,
 )
-from treeshift.errors import CertificateError, EvaluationError, NoWitnessError
+from treeshift.errors import CertificateError, EvaluationError, NoWitnessError, StructureError
 from treeshift.operators import (
     DomainVerdict,
     aluthge_basis_action,
@@ -38,7 +40,14 @@ from treeshift.trees import (
     omega_tree,
     sample_vertices,
 )
-from treeshift.weights import CallableWeights, OmegaShiftWeights, TableWeights, aluthge_weights
+from treeshift.weights import (
+    AluthgeWeights,
+    CallableWeights,
+    OmegaShiftWeights,
+    PolarWeights,
+    TableWeights,
+    aluthge_weights,
+)
 
 WINDOW = SampleWindow(levels=(-1, 1), depth_bound=2, digit_bound=2, deep_count=3)
 
@@ -189,14 +198,15 @@ class OverclaimedWeights(OmegaShiftWeights):
 
 
 class TestTrivialityWork:
-    # Deterministic work of the per-vertex certificate check on the
-    # descendant window of 21 vertices: each vertex reads the window
-    # [start, max(48, start + 17)) and nothing before it.
+    # Deterministic work of the certificate check on the descendant window of
+    # 21 vertices with 7 distinct digit sums: each stream the family shares
+    # by digit sum is read once, on [start, max(48, start + 17)), and nothing
+    # before it.
     WINDOW = SampleWindow(depth_bound=2, digit_bound=3)
 
     # The family streams each child's (norm, weight) pair by digit arithmetic
     # without calling ``weight``, so the count is taken on that stream.
-    @pytest.mark.parametrize("t, weight_calls", [(0.5, 966), (0.1, 735), (0.02, 357)])
+    @pytest.mark.parametrize("t, weight_calls", [(0.5, 322), (0.1, 245), (0.02, 119)])
     def test_weight_calls_and_no_cached_closed_forms(self, monkeypatch, t, weight_calls):
         w = OmegaShiftWeights(descendant_subtree(omega_tree(), OmegaVertex(0, (2,))))
         pairs = []
@@ -208,15 +218,111 @@ class TestTrivialityWork:
                 yield pair
 
         monkeypatch.setattr(OmegaShiftWeights, "child_norms_and_weights", counting)
-        report = certify_trivial_aluthge_domain(w, t, sample=sample_vertices(w.tree, self.WINDOW))
+        sample = sample_vertices(w.tree, self.WINDOW)
+        report = certify_trivial_aluthge_domain(w, t, sample=sample)
         assert report.status == "certified-family"
+        assert len(sample) == 21 and len({u.digit_sum for u in sample}) == 7
         start = report.family_certificate.start
-        assert len(pairs) == 21 * (max(48, start + 17) - start) == weight_calls
+        assert len(pairs) == 7 * (max(48, start + 17) - start) == weight_calls
         assert w._aggregates == {}
+
+    def test_one_check_per_digit_sum_on_the_paper_sample(self, monkeypatch):
+        # 326 sampled vertices, 16 distinct digit sums.  The node-norm closed
+        # form runs once per vertex (its domain verdict) and once per checked
+        # stream (the transform's parent norm).
+        calls = collections.Counter()
+        verify, closed_form = series.verify_certificate, OmegaShiftWeights._closed_form
+
+        def counting_verify(*args, **kwargs):
+            calls["verify"] += 1
+            return verify(*args, **kwargs)
+
+        def counting_closed_form(self, u):
+            calls["closed_form"] += 1
+            return closed_form(self, u)
+
+        monkeypatch.setattr(series, "verify_certificate", counting_verify)
+        monkeypatch.setattr(OmegaShiftWeights, "_closed_form", counting_closed_form)
+        w = OmegaShiftWeights()
+        sample = sample_vertices(w.tree)
+        assert len(sample) == 326
+        assert certify_trivial_aluthge_domain(w, 0.5, sample=sample).status == "certified-family"
+        assert calls == {"verify": 16, "closed_form": 326 + 16}
+        for _ in range(9):
+            certify_trivial_aluthge_domain(w, 0.5, sample=sample)
+        assert calls == {"verify": 160, "closed_form": 3420}
 
     def test_violation_at_first_ratio_past_start_caught(self):
         with pytest.raises(CertificateError, match="ratio at term 3 drops"):
             certify_trivial_aluthge_domain(OverclaimedWeights(), 0.5, sample=sample_vertices(omega_tree(), WINDOW))
+
+
+class OverclaimedAtOneVertex(OmegaShiftWeights):
+    """The built-in family with its transform's ratio claim raised, as in
+    ``OverclaimedWeights``, at the one vertex ``target`` only."""
+
+    def __init__(self, target):
+        super().__init__()
+        self.target = target
+
+    def _aluthge_closed_form(self, u, t):
+        verdict = super()._aluthge_closed_form(u, t)
+        if u != self.target:
+            return verdict
+        start = verdict.certificate.start
+        return Diverges(EventuallyIncreasing(start, 4.0**t * ((start + 2) / (start + 3)) ** 2))
+
+
+class TestSharedStreams:
+    # The family says through ``_stream_key`` which vertices share a child
+    # stream, and the certificate check reads each shared stream once.
+    FAMILIES = {
+        "paper": lambda: OmegaShiftWeights(),
+        "descendant": lambda: OmegaShiftWeights(descendant_subtree(omega_tree(), OmegaVertex(0, (2,)))),
+    }
+
+    @pytest.mark.parametrize("t", [1.0, 0.9, 0.5, 0.1, 0.02])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_vertex_streams_its_key_representatives_terms(self, family, t):
+        w = self.FAMILIES[family]()
+        mu = aluthge_weights(w, t)
+        for depth, digits in [(2, 3), (3, 2), (3, 3)]:
+            sample = sample_vertices(w.tree, SampleWindow(depth_bound=depth, digit_bound=digits))
+            representatives = {}
+            for u in sample:
+                cert = mu.aggregate(u).certificate
+                terms = [term.hex() for term in itertools.islice(mu.child_terms(u, cert.start), 48)]
+                assert len(terms) == 48
+                assert representatives.setdefault(w._stream_key(u), (cert, terms)) == (cert, terms), u
+            assert None not in representatives
+            assert len(representatives) < len(sample)
+
+    def test_other_systems_share_nothing(self):
+        tree = finite_tree([None, 0, 0])
+        systems = [
+            (TableWeights(tree, {1: 1.0, 2: 2.0}), 0),
+            (CallableWeights(nat_path(), lambda v: 1.0), 3),
+            (PolarWeights(OmegaShiftWeights()), OmegaVertex(0, (1,))),
+            (AluthgeWeights(OmegaShiftWeights(), 0.5), OmegaVertex(0, (1,))),
+        ]
+        for w, u in systems:
+            assert w._stream_key(u) is None, type(w).__name__
+
+    def test_overclaim_at_a_shared_digit_sum_caught(self):
+        sample = sample_vertices(omega_tree(), WINDOW)
+        seen = set()
+        for target in sample:
+            if target.digit_sum in seen:
+                break
+            seen.add(target.digit_sum)
+        with pytest.raises(CertificateError, match="ratio at term 3 drops"):
+            certify_trivial_aluthge_domain(OverclaimedAtOneVertex(target), 0.5, sample=sample)
+
+    def test_vertex_outside_the_tree_raises_at_a_shared_digit_sum(self):
+        w = self.FAMILIES["descendant"]()
+        outside = OmegaVertex(0, (1, 1))  # digit sum 2, like the apex
+        with pytest.raises(StructureError, match="not in this tree"):
+            certify_trivial_aluthge_domain(w, 0.5, sample=[OmegaVertex(0, (2,)), outside])
 
 
 def leaf_star(leaf_weight):

@@ -280,6 +280,16 @@ class TestNumericalFailures:
             assert report is None
             assert err == "numerical failure: squared-weight sum at 0 overflows\n"
 
+    def test_witness_ratio_inside_the_float_slack(self, capsys):
+        # the claim's ratio at its start, 1 + 1.9e-10, cannot be checked
+        code, report, err = run(capsys, ["witness", "--t", "0.99996", "--K", "5"])
+        assert code == 3
+        assert report is None
+        assert err == (
+            "numerical failure: claimed ratio 1.0000000001906053 lies within the float "
+            "slack of 1; no float check can confirm it\n"
+        )
+
     def test_witness_growth_too_close_to_one(self, capsys):
         # 4^(1-t) is so close to 1 that the certificate would start past 10**7
         code, report, err = run(capsys, ["witness", "--t", "0.9999999999"])

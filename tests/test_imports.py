@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, every
 function a package module defines is used somewhere, the analysis layer
-reaches family facts only through weight-system hooks, and numpy loads only
-with the oracle.
+reaches family facts only through weight-system hooks and reads no vertex
+attribute, and numpy loads only with the oracle.
 
 ``__init__.py`` is exempt from the first check: its imports are the public
 re-exports.
@@ -9,6 +9,7 @@ re-exports.
 
 import ast
 import collections
+import dataclasses
 import json
 import os
 import pathlib
@@ -83,6 +84,7 @@ FAMILY_HOOKS = (
     "_closed_form",
     "_aluthge_closed_form",
     "child_norms_and_weights",
+    "_stream_key",
     "_family_margin",
     "_pairing_growth",
 )
@@ -117,6 +119,36 @@ def test_analysis_names_no_family_class():
 def test_layering_checker_flags_a_family_class():
     source = "def f():\n    from .weights import CallableWeights, OmegaShiftWeights, WeightSystem\n"
     assert imported_family_classes(source) == ["OmegaShiftWeights"]
+
+
+def vertex_attribute_reads(source: str) -> list:
+    """Attribute reads in a module that name a field or property of the
+    family's vertices (``digit_sum``, ``digits``, ...)."""
+    from treeshift.trees import OmegaVertex
+
+    fields = {f.name for f in dataclasses.fields(OmegaVertex)}
+    properties = {name for name, value in vars(OmegaVertex).items() if isinstance(value, property)}
+    return sorted(
+        f"{node.attr} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in fields | properties
+    )
+
+
+def test_analysis_reads_no_vertex_attribute():
+    # Which vertices share a certificate stream is the weight system's to
+    # say, through ``_stream_key``; the analysis never reads a vertex's digits.
+    assert vertex_attribute_reads((PACKAGE / "analysis.py").read_text(encoding="utf-8")) == []
+
+
+def test_vertex_attribute_check_flags_planted_reads():
+    source = (
+        "def certify(w, u, seen):\n"
+        "    key = u.digit_sum\n"
+        "    seen.add((key, u.digits[-1], u.level))\n"
+        "    return w._stream_key(u), u.child(0)\n"
+    )
+    assert vertex_attribute_reads(source) == ["digit_sum (line 2)", "digits (line 3)", "level (line 3)"]
 
 
 # The series verdicts; only ``operators.basis_domain_verdict`` turns one into

@@ -301,6 +301,40 @@ class TestCertificates:
             verify_certificate(EventuallyIncreasing(0, 0.9), itertools.repeat(1.0), 8)
         with pytest.raises(CertificateError):
             verify_certificate(TermsDoNotVanish(0, 0.0), itertools.repeat(1.0), 8)
+        # a NaN ratio would make every comparison false and pass any stream
+        with pytest.raises(CertificateError, match="ratio must exceed 1"):
+            verify_certificate(EventuallyIncreasing(0, math.nan), iter([1.0, 0.5, 0.25] + [0.0] * 60), 48)
+
+
+class TestUncheckableRatio:
+    # A ratio claim is checked as term >= prev * ratio * (1 - 1e-9), so a
+    # claim whose slackened ratio is not above 1 lets a shrinking stream pass.
+    def test_claim_inside_the_slack_refused_before_any_term(self):
+        cert = closed_form_aggregate(4.0**1e-6).certificate
+        assert cert == EventuallyIncreasing(1442694, 1.0000000000004412)
+        shrinking = (0.5 * (1 - 1e-10) ** k for k in itertools.count())
+        with pytest.raises(ArithmeticError, match="within the float slack of 1"):
+            verify_certificate(cert, shrinking, 48, first=cert.start)
+
+    def test_slack_boundary(self):
+        # the smallest ratio whose slackened value exceeds 1
+        ratio = 1.0 / (1 - 1e-9)
+        while ratio * (1 - 1e-9) > 1:
+            ratio = math.nextafter(ratio, 0.0)
+        while not ratio * (1 - 1e-9) > 1:
+            ratio = math.nextafter(ratio, math.inf)
+        below = math.nextafter(ratio, 0.0)
+        assert below > 1
+
+        def geometric(r):
+            term = 1.0
+            while True:
+                yield term
+                term *= r
+
+        verify_certificate(EventuallyIncreasing(0, ratio), geometric(ratio), 48)
+        with pytest.raises(ArithmeticError, match="within the float slack of 1"):
+            verify_certificate(EventuallyIncreasing(0, below), geometric(ratio), 48)
 
 
 class TestInverseSquareConstant:
