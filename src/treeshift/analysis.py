@@ -1,8 +1,8 @@
 """High-level verdicts: density, hyponormality, domain triviality, closability.
 
 Family-level claims come only from closed forms; everything else is reported
-per sampled vertex, and analytic certificates are re-verified against the
-actual term streams they describe before a report endorses them.
+per sampled vertex.  Analytic certificates reach this layer already checked
+by the weight systems that take them in, so no report checks one again.
 """
 
 from __future__ import annotations
@@ -169,19 +169,15 @@ class TrivialityReport:
     checked: tuple = ()
 
 
-_CERT_VERIFY_TERMS = 48
-
-
 def certify_trivial_aluthge_domain(w: WeightSystem, t: float, sample=None) -> TrivialityReport:
     """Certify that no basis vector lies in the transform's domain.
 
     Every basis vector outside the domain empties it, because any nonzero
     vector has a nonzero coefficient somewhere.  Of ``basis_domain_verdict``
     at a vertex, ``in`` refutes, ``unknown`` leaves the report inconclusive
-    and ``out`` gives its certificate.  Family-level certification needs
-    closed forms at every vertex; sampled analytic certificates are
-    re-verified against their term streams, once per stream that the weight
-    system's ``_stream_key`` says several vertices share.
+    and ``out`` gives its certificate, which the transformed system has
+    already checked (a refused claim raises).  Family-level certification
+    needs closed forms at every vertex.
     """
     mu = aluthge_weights(w, t)
     vertices = _default_sample(w, sample)
@@ -189,7 +185,6 @@ def certify_trivial_aluthge_domain(w: WeightSystem, t: float, sample=None) -> Tr
     per_vertex = {}
     heuristic = False
     inconclusive = False
-    verified = set()  # (stream key, certificate) pairs already checked
     for i, u in enumerate(vertices):
         verdict = basis_domain_verdict(w, u, mu)
         if verdict.is_in:
@@ -200,16 +195,7 @@ def certify_trivial_aluthge_domain(w: WeightSystem, t: float, sample=None) -> Tr
         cert = verdict.certificate
         if i == 0 and w.closed_form_total:
             family_cert = cert
-        if cert.heuristic:
-            heuristic = True
-        elif verdict.condition == "aluthge-weight-aggregate":
-            # checked from the claim's start, so no earlier child is built;
-            # sum_series already checked a node-norm claim
-            key = w._stream_key(u)
-            if key is None or (key, cert) not in verified:
-                terms = mu.child_terms(u, cert.start)
-                series.verify_certificate(cert, terms, _CERT_VERIFY_TERMS, first=cert.start)
-                verified.add((key, cert))
+        heuristic = heuristic or cert.heuristic
         per_vertex[format_vertex(u)] = cert
 
     if family_cert is not None:

@@ -294,15 +294,15 @@ class DescendantSubtree(DirectedTree):
             # Path-shaped integer families grow upward only.
             if isinstance(self.base, (NatPath, IntPath)):
                 return v >= self.apex
+        # On a finite base the parent walk ends at the root; on an infinite
+        # one it may not, so it is cut off after 100,000 steps.
         w = v
-        fuel = 100_000
-        while fuel:
+        for _ in itertools.count() if self.base.is_finite else range(100_000):
             if w == self.apex:
                 return True
             w = self.base.parent(w)
             if w is None:
                 return False
-            fuel -= 1
         return False
 
     @property
@@ -312,12 +312,9 @@ class DescendantSubtree(DirectedTree):
     def vertices(self):
         if not self.base.is_finite:
             raise StructureError("vertex enumeration requires a finite tree")
-        out = []
-        queue = [self.apex]
-        while queue:
-            u = queue.pop(0)
-            out.append(u)
-            queue.extend(self.base.children(u))
+        out = [self.apex]
+        for u in out:  # breadth first: the loop reaches what it appends
+            out.extend(self.base.children(u))
         return out
 
 

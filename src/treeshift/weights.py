@@ -5,7 +5,9 @@ square norm of the shift at a basis vector is the aggregate of squared child
 weights; derived systems divide by parent norms (polar factor) or scale by a
 power of the child/parent norm ratio (Aluthge transform).  Aggregates go
 through a system's own closed form, exact finite sums, or the series engine,
-in that order; only the last two are cached.
+in that order; only the last two are cached.  Of the closed forms only a
+transform's may claim divergence, and the transformed system checks that
+claim; ``sum_series`` checks a node-norm claim (``_divergence_claim``).
 
 A transformed system reads its base's children through one hook,
 ``child_norms_and_weights(u, first)``, a lazy stream of ``(node norm,
@@ -43,7 +45,8 @@ class WeightSystem:
     A family states its analytic facts through hooks that the analysis layer
     reads without naming a class; the built-in family overrides all seven:
     ``_closed_form`` and ``_aluthge_closed_form`` (aggregates of the system
-    and of its transforms), ``closed_form_total`` (they cover every vertex),
+    and of its transforms; only the latter may claim divergence, which
+    ``AluthgeWeights`` checks), ``closed_form_total`` (they cover every vertex),
     ``child_norms_and_weights`` (the children's norms and weights, streamed),
     ``_stream_key`` (vertices that share that stream), ``_family_margin``
     (the vertex-independent hyponormality margin, or ``None``) and
@@ -316,7 +319,13 @@ class PolarWeights(WeightSystem):
 
 
 class AluthgeWeights(WeightSystem):
-    """Transformed weights: base weight times (child norm / parent norm)^t."""
+    """Transformed weights: base weight times (child norm / parent norm)^t.
+
+    A divergence claim of the base's ``_aluthge_closed_form`` is checked on
+    48 of this system's child terms before any caller sees it, once per pair
+    of base ``_stream_key`` and certificate (always for a ``None`` key); a
+    refused claim raises.
+    """
 
     def __init__(self, base: WeightSystem, t: float):
         if not 0 < t <= 1:
@@ -324,6 +333,7 @@ class AluthgeWeights(WeightSystem):
         super().__init__(base.tree)
         self.base = base
         self.t = float(t)
+        self._checked: set = set()  # (stream key, certificate) pairs
 
     def weight(self, v) -> complex:
         self._require_non_root(v)
@@ -361,7 +371,14 @@ class AluthgeWeights(WeightSystem):
             return series.Inconclusive(math.nan, 0)
 
     def _closed_form(self, u):
-        return self.base._aluthge_closed_form(u, self.t)
+        closed = self.base._aluthge_closed_form(u, self.t)
+        if isinstance(closed, series.Diverges):
+            cert, key = closed.certificate, self.base._stream_key(u)
+            if key is None or (key, cert) not in self._checked:
+                # from the claim's start, so no earlier child is built
+                series.verify_certificate(cert, self.child_terms(u, cert.start), 48, first=cert.start)
+                self._checked.add((key, cert))
+        return closed
 
 
 def node_norm(w: WeightSystem, u) -> float:

@@ -325,6 +325,46 @@ class TestSharedStreams:
             certify_trivial_aluthge_domain(w, 0.5, sample=[OmegaVertex(0, (2,)), outside])
 
 
+class TestClaimCheckedWhereTakenIn:
+    # The transformed system checks its base's divergence claim before any
+    # caller reads it, so the operator-level callers get checked verdicts too.
+    CALLERS = {
+        "domain_check": lambda w, t, u: domain_check(w, basis_vector(u), t=t),
+        "aluthge_basis_action": lambda w, t, u: aluthge_basis_action(w, t, u),
+    }
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_ratio_inside_the_float_slack_is_refused(self, caller):
+        # 4^(4e-5) puts the claimed ratio 1.0000000001906053 inside the slack
+        with pytest.raises(ArithmeticError, match="within the float slack of 1"):
+            self.CALLERS[caller](OmegaShiftWeights(), 4e-5, OmegaVertex(0))
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_overclaimed_ratio_is_refused(self, caller):
+        with pytest.raises(CertificateError, match="ratio at term 3 drops"):
+            self.CALLERS[caller](OverclaimedWeights(), 0.5, OmegaVertex(0))
+
+    def test_one_check_for_two_vertices_sharing_a_stream(self, monkeypatch):
+        calls = []
+        verify = series.verify_certificate
+
+        def counting_verify(*args, **kwargs):
+            calls.append(args[0])
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(series, "verify_certificate", counting_verify)
+        w = OmegaShiftWeights()
+        u, v = OmegaVertex(0, (2,)), OmegaVertex(1, (1, 1))  # digit sum 2 each
+        verdict = domain_check(w, basis_vector(u) + basis_vector(v), t=0.5)
+        assert verdict.is_out and verdict.vertex == u
+        assert calls == [verdict.certificate]
+        # one transformed system reads the shared stream once for both
+        mu = aluthge_weights(w, 0.5)
+        assert mu.aggregate(u) == mu.aggregate(v) == mu.aggregate(u)
+        assert mu.node_norm(v) == math.inf
+        assert calls == [verdict.certificate] * 2
+
+
 def leaf_star(leaf_weight):
     """Root 0 with children 1, 2, ..., each with the one leaf -v.  Child v has
     weight 1/v and its leaf ``leaf_weight(v)``; the root's aggregate is a

@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every
 function a package module defines is used somewhere, the analysis layer
-reaches family facts only through weight-system hooks and reads no vertex
+reaches family facts only through weight-system hooks, reads no vertex
 attribute, and numpy loads only with the oracle.
 
 ``__init__.py`` is exempt from the first check: its imports are the public
@@ -149,6 +149,47 @@ def test_vertex_attribute_check_flags_planted_reads():
         "    return w._stream_key(u), u.child(0)\n"
     )
     assert vertex_attribute_reads(source) == ["digit_sum (line 2)", "digits (line 3)", "level (line 3)"]
+
+
+# The transformed system checks its base's divergence claim where it takes the
+# claim in, so the analysis reaches no child stream and no stream key.
+STREAM_HOOKS = ("_stream_key", "child_terms", "child_norms_and_weights")
+
+
+def stream_hook_names(source: str) -> list:
+    """Names, attributes and imported names in a module that are stream hooks."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found.extend(f"{name} (line {node.lineno})" for name in names if name in STREAM_HOOKS)
+    return sorted(found)
+
+
+def test_analysis_names_no_stream_hook():
+    assert stream_hook_names((PACKAGE / "analysis.py").read_text(encoding="utf-8")) == []
+
+
+def test_stream_hook_check_flags_planted_names():
+    source = (
+        "from .weights import child_norms_and_weights\n\n\n"
+        "def certify(w, mu, u, cert):\n"
+        "    key = w._stream_key(u)\n"
+        "    terms = mu.child_terms(u, cert.start)\n"
+        "    return key, terms, mu.weight(u), child_terms\n"
+    )
+    assert stream_hook_names(source) == [
+        "_stream_key (line 5)",
+        "child_norms_and_weights (line 1)",
+        "child_terms (line 6)",
+        "child_terms (line 7)",
+    ]
 
 
 # The series verdicts; only ``operators.basis_domain_verdict`` turns one into

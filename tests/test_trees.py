@@ -1,4 +1,6 @@
+import collections
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,30 @@ class TestDescendantSubtree:
         tree = finite_tree([None, 0, 0, 1, 1])
         sub = descendant_subtree(tree, 1)
         assert sorted(sub.vertices()) == [1, 3, 4]
+
+    def test_membership_past_a_long_parent_walk(self):
+        # Root 0 with children 1 and 2, and a chain 2 -> 3 -> ... -> 119999,
+        # so the walk up from the chain's end takes 119,997 steps.
+        tree = finite_tree([None, 0, 0] + list(range(2, 119_999)))
+        below = descendant_subtree(tree, 2)
+        assert below.contains(119_999)
+        assert below.parent(119_999) == 119_998
+        assert below.vertices()[-1] == 119_999
+        assert not descendant_subtree(tree, 1).contains(119_999)
+        chain = descendant_subtree(finite_tree([None] + list(range(119_999))), 0)
+        assert chain.contains(119_999) and chain.parent(119_999) == 119_998
+        assert 119_999 in sample_vertices(chain)
+
+    @pytest.mark.parametrize("apex", [0, 1, 5, 40])
+    def test_vertices_are_breadth_first(self, apex):
+        rng = random.Random(0)
+        tree = finite_tree([None] + [rng.randrange(i) for i in range(1, 2_000)])
+        expected, queue = [], collections.deque([apex])
+        while queue:
+            u = queue.popleft()
+            expected.append(u)
+            queue.extend(tree.children(u))
+        assert descendant_subtree(tree, apex).vertices() == expected
 
 
 class TestMembershipInvariant:
