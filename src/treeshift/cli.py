@@ -1,9 +1,11 @@
 """Command-line front end: load trees and weights, run analyses, emit reports.
 
-One JSON report per run goes to standard output (sorted keys, so reruns are
-byte-identical); a short human summary goes to standard error.  Exit codes:
-0 success, 1 usage or parse problem, 2 verdict-level failure (oracle
-mismatch, missing witness), 3 numerical failure.
+One JSON report per run goes to standard output, written by ``emit`` byte for
+byte as ``json.dumps(report, sort_keys=True, indent=2)`` would: sorted keys,
+so reruns are byte-identical, only the types reports hold, and each container
+shared within a report encoded once per call.  A short human summary goes to
+standard error.  Exit codes: 0 success, 1 usage or parse problem, 2
+verdict-level failure (oracle mismatch, missing witness), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, analysis
 from .errors import NoWitnessError, OracleError, TreeShiftError
@@ -209,14 +212,70 @@ def _margin_dict(margins: dict) -> dict:
     }
 
 
+def _write(value, level: int, out: list, memo: dict) -> None:
+    """Append the JSON text of ``value``, indented from ``level``, to ``out``.
+
+    ``memo`` maps ``(id(container), level)`` to the container's text, so a
+    container the report holds many times is encoded once per level.  Ids
+    stay unique because the report keeps every container alive meanwhile.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ArithmeticError(f"the report holds a non-finite value ({value!r})")
+        out.append(float.__repr__(value))
+    else:
+        key = (id(value), level)
+        text = memo.get(key)
+        if text is None:
+            start = len(out)
+            inner = "\n" + "  " * (level + 1)
+            if isinstance(value, (list, tuple)):
+                brackets = "[]"
+                for item in value:
+                    out.append(inner)
+                    _write(item, level + 1, out, memo)
+                    out.append(",")
+            elif isinstance(value, dict):
+                brackets = "{}"
+                for k, item in sorted(value.items()):  # a non-str key raises TypeError
+                    out.append(inner + encode_basestring_ascii(k) + ": ")
+                    _write(item, level + 1, out, memo)
+                    out.append(",")
+            else:
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            if len(out) == start:
+                text = brackets
+            else:
+                out[-1] = "\n" + "  " * level + brackets[1]
+                text = brackets[0] + "".join(out[start:])
+                del out[start:]
+            memo[key] = text
+        out.append(text)
+
+
 def emit(report: dict, summary_lines: list[str]) -> None:
-    """Print the report; a non-finite value in it, which JSON cannot carry,
-    raises ``ArithmeticError`` (exit 3) before anything is printed."""
-    try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise ArithmeticError(f"the report holds a non-finite value ({exc})") from exc
-    sys.stdout.write(text + "\n")
+    """Print the report byte for byte as ``json.dumps(report, sort_keys=True,
+    indent=2)`` would, then the summary lines to standard error.
+
+    Only the types reports hold are accepted (dict with str keys, list, tuple,
+    str, int, float, bool, None); any other raises ``TypeError``.  A non-finite
+    value raises ``ArithmeticError`` (exit 3) before anything is printed.  The
+    memo that encodes each shared container once lives for this one call.
+    """
+    out: list = []
+    _write(report, 0, out, {})
+    out.append("\n")
+    sys.stdout.write("".join(out))
     for line in summary_lines:
         sys.stderr.write(line + "\n")
 
@@ -254,6 +313,10 @@ def cmd_analyze(args) -> int:
     density = analysis.check_densely_defined(weights, sample)
     hypo = analysis.check_hyponormal(weights, sample)
     trivial = analysis.certify_trivial_aluthge_domain(weights, t, sample)
+    # One dict per distinct certificate object, so ``emit`` encodes each once.
+    # Matched by identity: equality would merge 1 with 1.0 and 0.0 with -0.0.
+    certs = {id(c): c for c in trivial.per_vertex.values()}
+    cert_dicts = {i: cert_dict(c) for i, c in certs.items()}
     report = {
         "command": "analyze",
         "version": __version__,
@@ -280,7 +343,7 @@ def cmd_analyze(args) -> int:
                 "status": trivial.status,
                 "t": t,
                 "family_certificate": cert_dict(trivial.family_certificate),
-                "per_vertex": {k: cert_dict(c) for k, c in trivial.per_vertex.items()},
+                "per_vertex": {k: cert_dicts[id(c)] for k, c in trivial.per_vertex.items()},
                 "refuted_vertex": None
                 if trivial.refuted_vertex is None
                 else _vertex_label(meta, trivial.refuted_vertex),

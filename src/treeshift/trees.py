@@ -266,6 +266,7 @@ class DescendantSubtree(DirectedTree):
         base.require_vertex(apex)
         self.base = base
         self.apex = apex
+        self._members = None  # on a finite base, the vertex set, built on first use
 
     @property
     def root(self):
@@ -286,6 +287,10 @@ class DescendantSubtree(DirectedTree):
     def contains(self, v):
         if not self.base.contains(v):
             return False
+        if self.base.is_finite:
+            if self._members is None:
+                self._members = frozenset(self.vertices())
+            return v in self._members
         if isinstance(v, OmegaVertex) and isinstance(self.apex, OmegaVertex):
             # the ancestor ``depth`` levels up drops the last ``depth`` digits
             depth = v.level - self.apex.level
@@ -294,10 +299,10 @@ class DescendantSubtree(DirectedTree):
             # Path-shaped integer families grow upward only.
             if isinstance(self.base, (NatPath, IntPath)):
                 return v >= self.apex
-        # On a finite base the parent walk ends at the root; on an infinite
-        # one it may not, so it is cut off after 100,000 steps.
+        # On an infinite base the parent walk may never end, so it is cut off
+        # after 100,000 steps.
         w = v
-        for _ in itertools.count() if self.base.is_finite else range(100_000):
+        for _ in range(100_000):
             if w == self.apex:
                 return True
             w = self.base.parent(w)

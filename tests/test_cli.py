@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -8,10 +10,10 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treeshift import analysis
+from treeshift import analysis, cli
 from treeshift.cli import ParseError, build_parser, cert_dict, emit, load_tree_spec, main
 from treeshift.series import EventuallyIncreasing, PartialSumExceeds, TermsDoNotVanish
 from treeshift.trees import OmegaVertex
@@ -583,3 +585,113 @@ class TestCertificateSerialization:
         got = cert_dict(cert)
         assert got == expected
         assert list(got) == list(expected)
+
+
+def stdlib_text(report) -> str:
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def emitted(report) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        emit(report, ["summary"])
+    return out.getvalue()
+
+
+REPORT_STRINGS = st.text() | st.text(st.sampled_from("a\x00\x1f\x7f\"\\\n\t\u00e9\u2028\ud800\U0001f600"))
+REPORT_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.sampled_from([0, 1, -1, 2**64, -(2**64), 10**40, -0.0, 0.0, 5e-324, 1e308, -1e308])
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | REPORT_STRINGS
+)
+REPORT_TREES = st.recursive(
+    REPORT_SCALARS | st.sampled_from([[], {}, ()]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(REPORT_STRINGS, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestReportWriter:
+    """``emit`` writes what ``json.dumps(..., sort_keys=True, indent=2)`` writes."""
+
+    @given(report=REPORT_TREES)
+    @example(report={"b": [True, 1, False, 0], "a": {"\u00e9\x01": [[], {}, ()], "": (-0.0, 5e-324)}})
+    @example(report=[2**64 + 1, -(2**70), 1e308, [[[{}]]], {"z": True, "y": 1, "x": False, "w": 0}])
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_stdlib_encoder(self, report):
+        assert emitted(report) == stdlib_text(report)
+
+    def test_shared_containers_take_each_indent(self):
+        pair = [1.5, "x", {}]
+        cert = {"kind": "k", "start": 3, "pair": pair}
+        report = {
+            "a": cert,
+            "b": cert,
+            "deep": [[cert, pair], {"again": cert}],
+            "pairs": [pair, pair],
+            "top": pair,
+        }
+        assert emitted(report) == stdlib_text(report)
+
+    def test_non_finite_value_in_a_shared_container(self, capsys):
+        shared = [1.0, {"value": math.nan}]
+        with pytest.raises(ArithmeticError, match="^the report holds a non-finite value"):
+            emit({"a": shared, "b": [shared]}, ["summary"])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "report",
+        [{"z": 1j}, {"s": {1, 2}}, {"nested": [{3: "int key"}]}],
+        ids=["complex", "set", "int-key"],
+    )
+    def test_other_types_raise(self, capsys, report):
+        with pytest.raises(TypeError):
+            emit(report, ["summary"])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{paper}", "--t", "0.5"],
+            ["analyze", "{four}", "--t", "0.9"],
+            ["aluthge-weights", "{paper}", "--t", "0.1"],
+            ["witness", "--t", "0.999", "--K", "5"],
+            ["oracle", "--random", "5", "--t", "0.1,0.5,1.0"],
+        ],
+        ids=["analyze-paper", "analyze-four", "aluthge-weights", "witness", "oracle"],
+    )
+    def test_command_reports_equal_the_stdlib_encoder(self, tmp_path, capsys, monkeypatch, argv):
+        reports = []
+        real = cli.emit
+        monkeypatch.setattr(cli, "emit", lambda report, lines: reports.append(report) or real(report, lines))
+        paths = {
+            "paper": write(tmp_path, "paper.json", {"family": "paper"}),
+            "four": write(tmp_path, "four.json", FOUR_VERTEX),
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 0
+        [report] = reports
+        assert capsys.readouterr().out == stdlib_text(report)
+
+    def test_certificates_are_shared_by_identity(self, tmp_path, capsys, monkeypatch):
+        # Equal certificates stay apart: 2 and 2.0 print differently.
+        cert = EventuallyIncreasing(start=4, ratio=2)
+        certs = {"1:": cert, "2:": EventuallyIncreasing(start=4, ratio=2.0), "3:": cert}
+        real = analysis.certify_trivial_aluthge_domain
+        monkeypatch.setattr(
+            analysis,
+            "certify_trivial_aluthge_domain",
+            lambda *a: dataclasses.replace(real(*a), per_vertex=certs),
+        )
+        reports = []
+        monkeypatch.setattr(cli, "emit", lambda report, lines: reports.append(report))
+        assert main(["analyze", write(tmp_path, "paper.json", {"family": "paper"})]) == 0
+        per_vertex = reports[0]["verdicts"]["aluthge_domain"]["per_vertex"]
+        assert per_vertex["1:"] is per_vertex["3:"]
+        assert per_vertex["1:"] is not per_vertex["2:"]
+        printed = json.loads(emitted(reports[0]))["verdicts"]["aluthge_domain"]["per_vertex"]
+        assert [type(printed[k]["ratio"]) for k in ("1:", "2:", "3:")] == [int, float, int]

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 function a package module defines is used somewhere, the analysis layer
 reaches family facts only through weight-system hooks, reads no vertex
-attribute, and numpy loads only with the oracle.
+attribute, numpy loads only with the oracle, and the CLI writes reports
+through its own writer alone.
 
 ``__init__.py`` is exempt from the first check: its imports are the public
 re-exports.
@@ -235,6 +236,48 @@ def test_verdict_check_flags_a_planted_classification():
         "def untouched(w, u):\n    return w.node_norm(u)\n"
     )
     assert verdict_readers(source) == ["<module>", "density"]
+
+
+# ``cli.emit`` is the one report writer: the CLI reaches the stdlib encoder
+# through neither ``json.dumps`` nor ``json.dump``; ``json.load`` reads tree files.
+JSON_WRITERS = ("dump", "dumps")
+
+
+def json_writer_uses(source: str) -> list:
+    """Uses of ``json.dump``/``json.dumps`` in a module, through any alias."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "json"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases and node.attr in JSON_WRITERS:
+                found.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend(f"{a.name} (line {node.lineno})" for a in node.names if a.name in JSON_WRITERS)
+    return sorted(found)
+
+
+def test_cli_has_one_report_writer():
+    assert json_writer_uses((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_json_writer_check_flags_planted_uses():
+    source = (
+        "import json\n"
+        "import json as j\n"
+        "from json import dumps, load\n\n\n"
+        "def emit(report, fh):\n"
+        "    text = json.dumps(report, indent=2)\n"
+        "    json.dump(report, fh)\n"
+        "    return text, j.dumps(report), dumps(report), json.load(fh), load(fh)\n"
+    )
+    assert json_writer_uses(source) == ["dump (line 8)", "dumps (line 3)", "dumps (line 7)", "dumps (line 9)"]
 
 
 # numpy serves only the dense oracle, so it loads with ``oracle`` and with

@@ -266,6 +266,32 @@ class TestDescendantSubtree:
             queue.extend(tree.children(u))
         assert descendant_subtree(tree, apex).vertices() == expected
 
+    @pytest.mark.parametrize(
+        "parents, apex",
+        [
+            ([None] + [random.Random(1).randrange(i) for i in range(1, 2_000)], 3),
+            ([None] + list(range(3_999)), 1_000),
+        ],
+        ids=["random-2000", "chain-4000"],
+    )
+    def test_every_vertex_against_a_parent_walk(self, parents, apex):
+        tree = finite_tree(parents)
+        sub = descendant_subtree(tree, apex)
+        for v in range(len(parents)):
+            w = v
+            while w is not None and w != apex:
+                w = parents[w]
+            assert sub.contains(v) == (w == apex)
+            if w == apex:
+                assert sub.parent(v) == (None if v == apex else parents[v])
+                assert sub.child_count(v) == tree.child_count(v)
+            else:
+                with pytest.raises(StructureError):
+                    sub.parent(v)
+                with pytest.raises(StructureError):
+                    sub.child_count(v)
+        assert not sub.contains(len(parents)) and not sub.contains(-1)
+
 
 class TestMembershipInvariant:
     """Every sampled vertex with a parent is found among its parent's children."""
