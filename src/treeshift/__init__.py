@@ -21,10 +21,6 @@ from .operators import (
     adjoint_aluthge_basis_action,
     aluthge_basis_action,
     apply_adjoint,
-    apply_adjoint_modulus_power,
-    apply_modulus_power,
-    apply_partial_isometry,
-    apply_partial_isometry_adjoint,
     apply_shift,
     basis_vector,
     bundle_vector,

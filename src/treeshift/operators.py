@@ -42,10 +42,6 @@ __all__ = [
     "basis_domain_verdict",
     "apply_shift",
     "apply_adjoint",
-    "apply_modulus_power",
-    "apply_adjoint_modulus_power",
-    "apply_partial_isometry",
-    "apply_partial_isometry_adjoint",
     "aluthge_basis_action",
     "adjoint_aluthge_basis_action",
     "domain_check",
@@ -154,11 +150,6 @@ def _common_basis(f: StructuredVector, g: StructuredVector) -> Optional[WeightSy
     return f.weights if f.weights is not None else g.weights
 
 
-def _require_basis(w: WeightSystem, f: StructuredVector) -> None:
-    if f.weights is not None and f.weights is not w:
-        raise MixedBasisError("vector bundles belong to a different weight system")
-
-
 def basis_vector(v) -> StructuredVector:
     return StructuredVector(None, {v: 1.0}, None)
 
@@ -244,24 +235,6 @@ def basis_domain_verdict(w: WeightSystem, u, mu: Optional[AluthgeWeights]) -> Do
     return DomainVerdict("in", evidence=evidence)
 
 
-def _domain_norm(w: WeightSystem, v) -> float:
-    """Finite node norm at ``v``; an infinite one puts the vector outside the domain."""
-    verdict = basis_domain_verdict(w, v, None)
-    if verdict.is_out:
-        raise OutOfDomainError(
-            f"vector leaves the domain: infinite node norm at {v!r}",
-            vertex=v,
-            certificate=verdict.certificate,
-        )
-    return w.finite_norm(v)
-
-
-def _expand_if_possible(w: WeightSystem, result: StructuredVector) -> StructuredVector:
-    if result.b and all(w.tree.child_count(u) is not None for u in result.b):
-        return expand(result)
-    return result
-
-
 def apply_shift(w: WeightSystem, f: StructuredVector) -> StructuredVector:
     """Shift action on a basis combination: e_u -> norm(u) * b_u.
 
@@ -273,16 +246,25 @@ def apply_shift(w: WeightSystem, f: StructuredVector) -> StructuredVector:
         raise UnsupportedRepresentationError("shift application takes a plain basis combination")
     out = {}
     for v, c in f.e.items():
-        s = _domain_norm(w, v)
+        verdict = basis_domain_verdict(w, v, None)
+        if verdict.is_out:
+            raise OutOfDomainError(
+                f"vector leaves the domain: infinite node norm at {v!r}", vertex=v, certificate=verdict.certificate
+            )
+        s = w.finite_norm(v)
         if s == 0.0:
             continue
         out[v] = out.get(v, 0j) + c * s
-    return _expand_if_possible(w, StructuredVector(w, None, out))
+    result = StructuredVector(w, None, out)
+    if result.b and all(w.tree.child_count(u) is not None for u in result.b):
+        return expand(result)
+    return result
 
 
 def apply_adjoint(w: WeightSystem, f: StructuredVector) -> StructuredVector:
     """Adjoint action: e_v -> conj(weight(v)) e_parent, b_u -> norm(u) e_u."""
-    _require_basis(w, f)
+    if f.weights is not None and f.weights is not w:
+        raise MixedBasisError("vector bundles belong to a different weight system")
     out = {}
     for v, c in f.e.items():
         parent = w.tree.parent(v)
@@ -291,73 +273,6 @@ def apply_adjoint(w: WeightSystem, f: StructuredVector) -> StructuredVector:
         out[parent] = out.get(parent, 0j) + c * w.weight(v).conjugate()
     for u, c in f.b.items():
         out[u] = out.get(u, 0j) + c * w.node_norm(u)
-    return StructuredVector(None, out, None)
-
-
-def apply_modulus_power(w: WeightSystem, alpha: float, f: StructuredVector) -> StructuredVector:
-    """|shift|^alpha: diagonal scaling of basis coefficients by norm^alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    _require_basis(w, f)
-    g = expand(f) if f.b else f
-    out = {}
-    for v, c in g.e.items():
-        s = _domain_norm(w, v)
-        if s == 0.0:
-            continue
-        out[v] = c * s**alpha
-    return StructuredVector(None, out, None)
-
-
-def apply_adjoint_modulus_power(w: WeightSystem, alpha: float, f: StructuredVector) -> StructuredVector:
-    """|adjoint shift|^alpha: e_v -> conj(weight(v)) norm(parent)^(alpha-1) b_parent.
-
-    Bundles are eigenvectors: b_u -> norm(u)^alpha b_u, so the action stays
-    symbolic on infinite trees.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    _require_basis(w, f)
-    out = {}
-    for v, c in f.e.items():
-        parent = w.tree.parent(v)
-        if parent is None:
-            continue
-        s = w.finite_norm(parent)
-        if s == 0.0:
-            continue
-        out[parent] = out.get(parent, 0j) + c * w.weight(v).conjugate() * s ** (alpha - 1)
-    for u, c in f.b.items():
-        out[u] = out.get(u, 0j) + c * w.node_norm(u) ** alpha
-    return StructuredVector(w, None, out)
-
-
-def apply_partial_isometry(w: WeightSystem, f: StructuredVector) -> StructuredVector:
-    """Polar factor action: e_u -> b_u on active vertices, 0 elsewhere."""
-    _require_basis(w, f)
-    g = expand(f) if f.b else f
-    out = {}
-    for u, c in g.e.items():
-        if w.finite_norm(u) == 0.0:
-            continue
-        out[u] = out.get(u, 0j) + c
-    return _expand_if_possible(w, StructuredVector(w, None, out))
-
-
-def apply_partial_isometry_adjoint(w: WeightSystem, f: StructuredVector) -> StructuredVector:
-    """Adjoint polar factor: e_v -> conj(weight(v))/norm(parent) e_parent, b_u -> e_u."""
-    _require_basis(w, f)
-    out = {}
-    for v, c in f.e.items():
-        parent = w.tree.parent(v)
-        if parent is None:
-            continue
-        s = w.finite_norm(parent)
-        if s == 0.0:
-            continue
-        out[parent] = out.get(parent, 0j) + c * w.weight(v).conjugate() / s
-    for u, c in f.b.items():
-        out[u] = out.get(u, 0j) + c
     return StructuredVector(None, out, None)
 
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import StructureError
+from .errors import StructureError, TreeShiftError
 
 __all__ = [
     "OmegaVertex",
@@ -73,13 +73,6 @@ class OmegaVertex:
     @property
     def last_digit(self) -> int:
         return self.digits[-1] if self.digits else 0
-
-    @property
-    def first_support(self) -> Optional[int]:
-        """Position of the first nonzero entry; None for an all-zero vertex."""
-        if not self.digits:
-            return None
-        return self.level - len(self.digits) + 1
 
     def child(self, digit: int) -> "OmegaVertex":
         if digit < 0:
@@ -408,6 +401,25 @@ def _deep_omega_vertices(window: SampleWindow):
     return out
 
 
+_MAX_WINDOW = 10**6  # vertices plus digits one sample may build; the default window counts 1,607
+
+
+def _check_window_size(window: SampleWindow, levels: int, deep_count: int) -> None:
+    """Refuse a window whose size passes ``_MAX_WINDOW``.  Each of ``levels`` levels counts
+    ``(digit_bound + 1)**k`` words of ``k <= depth_bound`` digits at ``k + 1`` each (a vertex
+    and its digits), and each deep word counts ``depth_bound + 4``.  The sum stops once past
+    the bound, so a huge depth costs nothing."""
+    size = deep_count * (window.depth_bound + 4)
+    width = levels
+    for k in range(window.depth_bound + 1):
+        if size > _MAX_WINDOW or not width:
+            break
+        size += width * (k + 1)
+        width *= window.digit_bound + 1
+    if size > _MAX_WINDOW:
+        raise TreeShiftError(f"sample window too large: at least {size:,} vertices and digits, above {_MAX_WINDOW:,}")
+
+
 def sample_vertices(tree: DirectedTree, window: Optional[SampleWindow] = None) -> list:
     """Deterministic vertex sample for a tree family.
 
@@ -417,20 +429,22 @@ def sample_vertices(tree: DirectedTree, window: Optional[SampleWindow] = None) -
     one -6..6.
     Any other rooted tree, descendant subtrees included, returns the first
     ``digit_bound + 1`` children of each vertex, ``depth_bound`` levels
-    down, breadth first.  Either way reports keep a stable order.
+    down, breadth first.  Either way reports keep a stable order.  A window
+    too large for ``_check_window_size`` raises ``TreeShiftError``.
     """
     window = window or SampleWindow()
     if tree.is_finite:
         return tree.vertices()
     if isinstance(tree, OmegaTree):
         lo, hi = window.levels
+        _check_window_size(window, max(hi - lo + 1, 0), window.deep_count)
+        # Sorted and duplicate-free as built; the deep batch lies on higher levels.
         sweep = [
             OmegaVertex(level, word)
             for level in range(lo, hi + 1)
             for word in _canonical_words(window.depth_bound, window.digit_bound)
         ]
-        sweep.extend(_deep_omega_vertices(window))
-        return sorted(set(sweep), key=OmegaVertex.sort_key)
+        return sweep + sorted(set(_deep_omega_vertices(window)), key=OmegaVertex.sort_key)
     if isinstance(tree, NatPath):
         return list(range(13))
     if isinstance(tree, IntPath):
@@ -438,6 +452,7 @@ def sample_vertices(tree: DirectedTree, window: Optional[SampleWindow] = None) -
     # Any other rooted tree: bounded breadth-first sweep from the root.
     if tree.root is None:
         raise StructureError("cannot sample a rootless tree of unknown shape")
+    _check_window_size(window, 1, 0)
     out = [tree.root]
     frontier = [tree.root]
     for _ in range(window.depth_bound):

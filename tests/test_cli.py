@@ -528,6 +528,43 @@ class TestOutOfRangeCounts:
         assert report.get("partial_sums", report.get("table")) == []
 
 
+class TestSampleWindowBound:
+    # Each of these ran with no output until it was killed; the depth-only
+    # one has 11 vertices, but six deep words of about 10^8 digits each.
+    DESCENDANT = {"family": "descendant", "apex": {"level": 0, "digits": [2]}}
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (["analyze", "{paper}", "--digits", "40", "--depth", "4"], "1,404,098"),
+            (["analyze", "{paper}", "--digits", "3", "--depth", "12"], "3,786,621"),
+            (["analyze", "{paper}", "--digits", "0", "--depth", "100000000"], "600,000,024"),
+            (["analyze", "{descendant}", "--digits", "9", "--depth", "7"], "7,654,321"),
+            (["aluthge-weights", "{paper}", "--digits", "40", "--depth", "4"], "1,404,098"),
+        ],
+        ids=["wide", "deep", "depth-only", "descendant", "aluthge-weights"],
+    )
+    def test_refused_with_its_size(self, tmp_path, capsys, argv, size):
+        paths = {
+            "paper": write(tmp_path, "paper.json", {"family": "paper"}),
+            "descendant": write(tmp_path, "desc.json", self.DESCENDANT),
+        }
+        code, report, err = run(capsys, [arg.format(**paths) for arg in argv])
+        assert code == 1
+        assert report is None
+        assert err == (
+            f"error: sample window too large: at least {size} vertices and digits, above 1,000,000\n"
+        )
+
+    @pytest.mark.parametrize("depth, digits", [(3, 3), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("family", ["paper", "descendant"])
+    def test_default_and_benchmark_windows_report(self, tmp_path, capsys, family, depth, digits):
+        path = write(tmp_path, "tree.json", self.DESCENDANT if family == "descendant" else {"family": family})
+        code, report, _ = run(capsys, ["analyze", path, "--depth", str(depth), "--digits", str(digits)])
+        assert code == 0
+        assert report["inputs"]["depth"] == depth and report["inputs"]["digits"] == digits
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 1

@@ -16,10 +16,6 @@ from treeshift.operators import (
     adjoint_aluthge_basis_action,
     aluthge_basis_action,
     apply_adjoint,
-    apply_adjoint_modulus_power,
-    apply_modulus_power,
-    apply_partial_isometry,
-    apply_partial_isometry_adjoint,
     apply_shift,
     basis_vector,
     bundle_vector,
@@ -193,8 +189,6 @@ class TestApplyAdjoint:
         back = apply_adjoint(omega, apply_shift(omega, basis_vector(u)))
         s = node_norm(omega, u)
         assert_vec_close(back, {u: s * s}, tol=1e-10)
-        via_modulus = apply_modulus_power(omega, 2.0, basis_vector(u))
-        assert back.e[u] == pytest.approx(via_modulus.e[u], rel=1e-14)
 
     def test_adjoint_consistency_inner_products(self, omega):
         # <S f, g> == <f, S* g> with exact bundle inner products
@@ -210,76 +204,6 @@ class TestApplyAdjoint:
             lhs = apply_shift(omega, f).inner(g)
             rhs = f.inner(apply_adjoint(omega, g))
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
-
-
-class TestModulusPowers:
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.3])
-    def test_omega_diagonal_action(self, omega, alpha):
-        u = OmegaVertex(0, (2,))
-        got = apply_modulus_power(omega, alpha, basis_vector(u))
-        assert_vec_close(got, {u: (4.0 * GAMMA) ** alpha}, tol=1e-10)
-
-    def test_leaf_support_annihilated(self, small_tree):
-        tree, w = small_tree
-        f = basis_vector(5) + basis_vector(1).scaled(2.0)
-        got = apply_modulus_power(w, 0.7, f)
-        assert set(got.e) == {1}
-
-    def test_alpha_validated(self, omega):
-        with pytest.raises(ValueError):
-            apply_modulus_power(omega, 0.0, basis_vector(OmegaVertex(0)))
-
-    def test_adjoint_modulus_bundle_eigenvector(self, omega):
-        u = OmegaVertex(0, (1,))
-        s = node_norm(omega, u)
-        got = apply_adjoint_modulus_power(omega, 1.3, bundle_vector(omega, u))
-        assert got.b == {u: pytest.approx(s**1.3, rel=1e-13)}
-
-    def test_adjoint_modulus_root_annihilated(self, small_tree):
-        tree, w = small_tree
-        assert apply_adjoint_modulus_power(w, 2.0, basis_vector(0)).is_zero
-
-    def test_adjoint_modulus_on_basis(self, omega):
-        # e_v -> conj(weight) * norm(parent)^(alpha-1) * b_parent
-        v = OmegaVertex(1, (3, 0))
-        parent = OmegaVertex(0, (3,))
-        alpha = 2.0
-        s = node_norm(omega, parent)
-        got = apply_adjoint_modulus_power(omega, alpha, basis_vector(v))
-        assert got.b == {parent: pytest.approx(8.0 * s, rel=1e-13)}
-
-
-class TestPartialIsometry:
-    def test_basis_to_unit_bundle(self, omega):
-        u = OmegaVertex(0)
-        got = apply_partial_isometry(omega, basis_vector(u))
-        assert got.b == {u: 1.0}
-        assert got.norm() == pytest.approx(1.0)
-
-    def test_adjoint_retracts_bundle(self, omega):
-        u = OmegaVertex(0, (2,))
-        got = apply_partial_isometry_adjoint(omega, bundle_vector(omega, u))
-        assert_vec_close(got, {u: 1.0})
-
-    def test_polar_factorization_on_basis(self, omega, small_tree):
-        # partial isometry composed with |S| equals the shift itself, exactly
-        tree, w = small_tree
-        cases = [
-            (omega, OmegaVertex(0, (1, 2))),
-            (w, 1),
-            (w, 0),
-        ]
-        for system, u in cases:
-            via_polar = apply_partial_isometry(
-                system, apply_modulus_power(system, 1.0, basis_vector(u))
-            )
-            direct = apply_shift(system, basis_vector(u))
-            assert via_polar.e == direct.e
-            assert via_polar.b == direct.b
-
-    def test_inactive_vertex_killed(self, small_tree):
-        tree, w = small_tree
-        assert apply_partial_isometry(w, basis_vector(5)).is_zero
 
 
 class TestAluthgeBasisAction:

@@ -8,10 +8,6 @@ from treeshift.errors import OracleError, SingularWeightError
 from treeshift.operators import (
     adjoint_aluthge_basis_action,
     aluthge_basis_action,
-    apply_adjoint_modulus_power,
-    apply_modulus_power,
-    apply_partial_isometry_adjoint,
-    basis_vector,
     expand,
 )
 from treeshift.oracle import (
@@ -241,16 +237,6 @@ class TestFormulaEquivalence:
             report = compare_with_formula(w, tree, t_values=(0.5,))
             assert report.hyponormal_agree
 
-    def test_modulus_power_matches_matrix_root(self):
-        # |S|^1 action on a basis vector equals the matrix square root action
-        tree, w = path_weights([1.5, 0.25, 3.0])
-        dense = assemble(w, tree)
-        factors = polar(dense.matrix)
-        for u in range(4):
-            got = dense_vector(apply_modulus_power(w, 1.0, basis_vector(u)), dense)
-            want = psd_power(factors, 1.0) @ _unit(dense.n, u)
-            np.testing.assert_allclose(got, want, atol=1e-10)
-
     def test_adjoint_modulus_power_matches_matrix(self):
         tree, w = path_weights([1.5, 0.25, 3.0])
         dense = assemble(w, tree)
@@ -260,23 +246,6 @@ class TestFormulaEquivalence:
             np.testing.assert_allclose(
                 left_psd_power(factors, alpha), formula, atol=1e-10
             )
-        # alpha = 2 on a basis vector equals T T* e_v
-        for v in range(1, 4):
-            got = dense_vector(
-                apply_adjoint_modulus_power(w, 2.0, basis_vector(v)), dense
-            )
-            want = dense.matrix @ dense.matrix.conj().T @ _unit(dense.n, v)
-            np.testing.assert_allclose(got, want, atol=1e-10)
-
-    def test_partial_isometry_adjoint_matches_matrix(self):
-        # vertex 1 has zero norm: its children 3 and 4 carry weight 0
-        tree = finite_tree([None, 0, 0, 1, 1, 2])
-        w = TableWeights(tree, {1: 2.0, 2: 0.5j, 3: 0.0, 4: 0.0, 5: 1.5 - 0.5j})
-        dense = assemble(w, tree)
-        u_adjoint = polar(dense.matrix).u_factor.conj().T
-        for v in range(dense.n):
-            got = dense_vector(apply_partial_isometry_adjoint(w, basis_vector(v)), dense)
-            np.testing.assert_allclose(got, u_adjoint @ _unit(dense.n, v), atol=1e-12)
 
     def test_aluthge_basis_action_matches_matrix(self):
         for tree, w in random_tree_corpus(5, seed=31, max_vertices=15):

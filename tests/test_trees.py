@@ -43,12 +43,6 @@ class TestOmegaVertex:
         assert OmegaVertex(4).digit_sum == 0
         assert OmegaVertex(4).last_digit == 0
 
-    def test_first_support_position(self):
-        # first nonzero entry sits at level - len + 1
-        v = OmegaVertex(3, (7, 0, 2))
-        assert v.first_support == 1
-        assert OmegaVertex(3).first_support is None
-
     @given(
         level=st.integers(-50, 50),
         pad=st.integers(0, 5),
@@ -396,3 +390,22 @@ class TestSampling:
         assert all(0 <= v.level <= 1 for v in vs)
         assert all(len(v.digits) <= 2 and all(d <= 2 for d in v.digits) for v in vs)
         assert OmegaVertex(0) in vs and OmegaVertex(1, (2, 1)) in vs
+
+    def test_rootless_sample_is_sorted_and_duplicate_free_as_built(self):
+        # The sweep and the deep batch are joined, not sorted and deduplicated
+        # together; the result is the same as if they were.
+        levels_grid = [(-2, 2), (0, 1), (-1, 1), (0, 0), (3, -3)]
+        grid = itertools.product(levels_grid, range(5), range(4), (0, 3, 6, 20), range(8))
+        for levels, bound, depth, deep_count, seed in grid:
+            window = SampleWindow(levels, bound, depth, deep_count, seed)
+            vs = sample_vertices(omega_tree(), window)
+            assert vs == sorted(set(vs), key=OmegaVertex.sort_key)
+            # every word of at most ``depth`` digits up to ``bound`` on each level
+            sweep = {
+                OmegaVertex.make(level, word)
+                for level in range(levels[0], levels[1] + 1)
+                for word in itertools.product(range(bound + 1), repeat=depth)
+            }
+            deep = set(vs) - sweep
+            assert sweep <= set(vs) and len(deep) <= deep_count
+            assert all(v.level > levels[1] for v in deep)
