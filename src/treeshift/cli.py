@@ -35,6 +35,7 @@ from .trees import (
 from .weights import CallableWeights, OmegaShiftWeights, TableWeights, aluthge_weights, polar_weights
 
 ORACLE_TOLERANCE = 1e-8
+_MAX_RANDOM = 10_000  # trees ``oracle --random`` builds before its first comparison
 
 
 class ParseError(TreeShiftError):
@@ -407,6 +408,8 @@ def cmd_oracle(args) -> int:
         raise ParseError("--t needs at least one value")
     if args.random is not None:
         _check_at_least(args.random, 1, "--random")
+        if args.random > _MAX_RANDOM:
+            raise ParseError(f"--random must be at most {_MAX_RANDOM:,}, got {args.random:,}")
         _check_at_least(args.seed, 0, "--seed")
     elif args.file is None:
         raise ParseError("oracle needs a tree file or --random N")

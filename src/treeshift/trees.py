@@ -66,6 +66,14 @@ class OmegaVertex:
             digits = digits[1:]
         return cls(int(level), digits)
 
+    @classmethod
+    def _canonical(cls, level: int, digits: tuple) -> "OmegaVertex":
+        """A vertex from a word that is canonical by construction, built
+        without the checks of ``__post_init__``."""
+        v = object.__new__(cls)
+        vars(v).update(level=level, digits=digits)
+        return v
+
     @property
     def digit_sum(self) -> int:
         return sum(self.digits)
@@ -439,11 +447,9 @@ def sample_vertices(tree: DirectedTree, window: Optional[SampleWindow] = None) -
         lo, hi = window.levels
         _check_window_size(window, max(hi - lo + 1, 0), window.deep_count)
         # Sorted and duplicate-free as built; the deep batch lies on higher levels.
-        sweep = [
-            OmegaVertex(level, word)
-            for level in range(lo, hi + 1)
-            for word in _canonical_words(window.depth_bound, window.digit_bound)
-        ]
+        words = list(_canonical_words(window.depth_bound, window.digit_bound))
+        canonical = OmegaVertex._canonical
+        sweep = [canonical(level, word) for level in range(lo, hi + 1) for word in words]
         return sweep + sorted(set(_deep_omega_vertices(window)), key=OmegaVertex.sort_key)
     if isinstance(tree, NatPath):
         return list(range(13))

@@ -13,14 +13,16 @@ A transformed system reads its base's children through one hook,
 ``child_norms_and_weights(u, first)``, a lazy stream of ``(node norm,
 weight)`` pairs.  By default it builds each child and asks for both; the
 built-in family computes them by digit arithmetic from the parent's digit
-sum, with the same float expressions and without building any child.
+sum, with the same float expressions and without building any child.  A
+ratio claim is checked on the base's ``_aluthge_unit_terms`` instead, where
+the base has them: one stream for every vertex.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Hashable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from . import series
 from .errors import EvaluationError, StructureError, UndeterminedNormError
@@ -48,7 +50,8 @@ class WeightSystem:
     and of its transforms; only the latter may claim divergence, which
     ``AluthgeWeights`` checks), ``closed_form_total`` (they cover every vertex),
     ``child_norms_and_weights`` (the children's norms and weights, streamed),
-    ``_stream_key`` (vertices that share that stream), ``_family_margin``
+    ``_aluthge_unit_terms`` (a transform's child stream up to a positive factor
+    of the vertex), ``_family_margin``
     (the vertex-independent hyponormality margin, or ``None``) and
     ``_pairing_growth`` (the witness's pairing terms and their ratio limit;
     the base class refuses the witness).
@@ -79,11 +82,10 @@ class WeightSystem:
     def _divergence_claim(self, u) -> Optional[series.DivergenceCertificate]:
         return None
 
-    def _stream_key(self, u) -> Optional[Hashable]:
-        """A key shared by vertices with the same node norm and the same
-        ``child_norms_and_weights`` stream, so every stream derived from
-        them (a transform's child terms) is the same; ``None`` shares
-        nothing."""
+    def _aluthge_unit_terms(self, t: float, first: int) -> Optional[Iterator[float]]:
+        """A stream ``g`` from index ``first`` on such that, at every vertex
+        ``u``, the transform's squared child weights are ``c(u) * g(n)`` for
+        some ``c(u) > 0``; ``None`` (the default) when there is none."""
         return None
 
     def _family_margin(self) -> Optional[series.Converges]:
@@ -227,10 +229,16 @@ class OmegaShiftWeights(WeightSystem):
 
     def weight(self, v) -> complex:
         self._require_non_root(v)
-        return complex(2.0 ** (v.digit_sum - v.last_digit) / (v.last_digit + 1))
+        try:
+            return complex(2.0 ** (v.digit_sum - v.last_digit) / (v.last_digit + 1))
+        except OverflowError as exc:
+            raise OverflowError(f"weight at {v!r} overflows") from exc
 
     def _closed_form(self, u):
-        scale = 4.0**u.digit_sum
+        try:
+            scale = 4.0**u.digit_sum
+        except OverflowError as exc:
+            raise OverflowError(f"squared-weight sum at {u!r} overflows") from exc
         inv_sq = series.inverse_square_sum()
         return series.Converges(scale * inv_sq.value, scale * inv_sq.tail_bound)
 
@@ -245,15 +253,14 @@ class OmegaShiftWeights(WeightSystem):
         for n in itertools.count(first):
             yield math.sqrt(4.0 ** (s + n) * inv_sq), complex(scale / (n + 1))
 
-    def _stream_key(self, u):
-        # ``_closed_form`` and ``child_norms_and_weights`` read nothing of u
-        # but its digit sum; the vertex is still checked, as a stream is.
-        self.tree.require_vertex(u)
-        return u.digit_sum
+    def _aluthge_unit_terms(self, t, first):
+        # squared transformed child weights at u are 4^S(u) * 4^(t n) / (n + 1)^2;
+        # 4^(t n) is taken from its exponent, so no 2^n or 4^(S(u) + n) is formed
+        return (4.0 ** (t * n) / (n + 1) ** 2 for n in itertools.count(first))
 
     def _aluthge_closed_form(self, u, t):
-        # squared transformed child weights are 4^S(u) * 4^(t n) / (n + 1)^2;
-        # the ratio certificate does not depend on the 4^S(u) scale
+        # the ratio certificate of 4^(t n) / (n + 1)^2 does not depend on the
+        # 4^S(u) scale
         growth = 4.0**t
         if growth == 1.0:
             raise ArithmeticError(f"4^t rounds to 1 at t={t}; t too small for floats")
@@ -321,10 +328,12 @@ class PolarWeights(WeightSystem):
 class AluthgeWeights(WeightSystem):
     """Transformed weights: base weight times (child norm / parent norm)^t.
 
-    A divergence claim of the base's ``_aluthge_closed_form`` is checked on
-    48 of this system's child terms before any caller sees it, once per pair
-    of base ``_stream_key`` and certificate (always for a ``None`` key); a
-    refused claim raises.
+    A divergence claim of the base's ``_aluthge_closed_form`` is checked
+    before any caller sees it, on 48 terms from its start; a refused claim
+    raises.  A ratio claim holds for a stream exactly when it holds for every
+    positive multiple of it, so where the base gives ``_aluthge_unit_terms``
+    it is checked there, once per certificate; any other claim is checked on
+    each vertex's own child terms.
     """
 
     def __init__(self, base: WeightSystem, t: float):
@@ -333,7 +342,7 @@ class AluthgeWeights(WeightSystem):
         super().__init__(base.tree)
         self.base = base
         self.t = float(t)
-        self._checked: set = set()  # (stream key, certificate) pairs
+        self._checked: set = set()  # ratio certificates passed on the unit stream
 
     def weight(self, v) -> complex:
         self._require_non_root(v)
@@ -372,12 +381,20 @@ class AluthgeWeights(WeightSystem):
 
     def _closed_form(self, u):
         closed = self.base._aluthge_closed_form(u, self.t)
-        if isinstance(closed, series.Diverges):
-            cert, key = closed.certificate, self.base._stream_key(u)
-            if key is None or (key, cert) not in self._checked:
-                # from the claim's start, so no earlier child is built
-                series.verify_certificate(cert, self.child_terms(u, cert.start), 48, first=cert.start)
-                self._checked.add((key, cert))
+        if not isinstance(closed, series.Diverges):
+            return closed
+        cert = closed.certificate
+        unit = None
+        if isinstance(cert, series.EventuallyIncreasing):
+            self.tree.require_vertex(u)  # as reading its own stream would
+            if cert in self._checked:
+                return closed
+            unit = self.base._aluthge_unit_terms(self.t, cert.start)
+        # from the claim's start, so no earlier term is computed
+        terms = self.child_terms(u, cert.start) if unit is None else unit
+        series.verify_certificate(cert, terms, 48, first=cert.start)
+        if unit is not None:
+            self._checked.add(cert)
         return closed
 
 

@@ -199,37 +199,42 @@ class OverclaimedWeights(OmegaShiftWeights):
 
 class TestTrivialityWork:
     # Deterministic work of the certificate check on the descendant window of
-    # 21 vertices with 7 distinct digit sums: each stream the family shares
-    # by digit sum is read once, on [start, max(48, start + 17)), and nothing
-    # before it.
+    # 21 vertices with 7 distinct digit sums: one transform reads the family's
+    # unit stream once, on [start, max(48, start + 17)) and nothing before it,
+    # and builds no child's norm or weight.
     WINDOW = SampleWindow(depth_bound=2, digit_bound=3)
 
-    # The family streams each child's (norm, weight) pair by digit arithmetic
-    # without calling ``weight``, so the count is taken on that stream.
-    @pytest.mark.parametrize("t, weight_calls", [(0.5, 322), (0.1, 245), (0.02, 119)])
-    def test_weight_calls_and_no_cached_closed_forms(self, monkeypatch, t, weight_calls):
+    @pytest.mark.parametrize("t, unit_terms", [(0.5, 46), (0.1, 35), (0.02, 17)])
+    def test_unit_terms_read_and_no_cached_closed_forms(self, monkeypatch, t, unit_terms):
         w = OmegaShiftWeights(descendant_subtree(omega_tree(), OmegaVertex(0, (2,))))
-        pairs = []
-        stream = OmegaShiftWeights.child_norms_and_weights
+        pairs, terms = [], []
+        stream, unit = OmegaShiftWeights.child_norms_and_weights, OmegaShiftWeights._aluthge_unit_terms
 
-        def counting(self, u, first=0):
+        def counting_pairs(self, u, first=0):
             for pair in stream(self, u, first):
                 pairs.append(pair)
                 yield pair
 
-        monkeypatch.setattr(OmegaShiftWeights, "child_norms_and_weights", counting)
+        def counting_unit(self, t, first):
+            for term in unit(self, t, first):
+                terms.append(term)
+                yield term
+
+        monkeypatch.setattr(OmegaShiftWeights, "child_norms_and_weights", counting_pairs)
+        monkeypatch.setattr(OmegaShiftWeights, "_aluthge_unit_terms", counting_unit)
         sample = sample_vertices(w.tree, self.WINDOW)
         report = certify_trivial_aluthge_domain(w, t, sample=sample)
         assert report.status == "certified-family"
         assert len(sample) == 21 and len({u.digit_sum for u in sample}) == 7
         start = report.family_certificate.start
-        assert len(pairs) == 7 * (max(48, start + 17) - start) == weight_calls
+        assert len(terms) == max(48, start + 17) - start == unit_terms
+        assert pairs == []
         assert w._aggregates == {}
 
-    def test_one_check_per_digit_sum_on_the_paper_sample(self, monkeypatch):
+    def test_one_check_per_transform_on_the_paper_sample(self, monkeypatch):
         # 326 sampled vertices, 16 distinct digit sums.  The node-norm closed
-        # form runs once per vertex (its domain verdict) and once per checked
-        # stream (the transform's parent norm).
+        # form runs once per vertex (its domain verdict) and never for the
+        # check, which reads no parent norm.
         calls = collections.Counter()
         verify, closed_form = series.verify_certificate, OmegaShiftWeights._closed_form
 
@@ -247,10 +252,10 @@ class TestTrivialityWork:
         sample = sample_vertices(w.tree)
         assert len(sample) == 326
         assert certify_trivial_aluthge_domain(w, 0.5, sample=sample).status == "certified-family"
-        assert calls == {"verify": 16, "closed_form": 326 + 16}
-        for _ in range(9):
+        assert calls == {"verify": 1, "closed_form": 326}
+        for _ in range(9):  # each call builds its own transform
             certify_trivial_aluthge_domain(w, 0.5, sample=sample)
-        assert calls == {"verify": 160, "closed_form": 3420}
+        assert calls == {"verify": 10, "closed_form": 3260}
 
     def test_violation_at_first_ratio_past_start_caught(self):
         with pytest.raises(CertificateError, match="ratio at term 3 drops"):
@@ -273,9 +278,20 @@ class OverclaimedAtOneVertex(OmegaShiftWeights):
         return Diverges(EventuallyIncreasing(start, 4.0**t * ((start + 2) / (start + 3)) ** 2))
 
 
+class FloorClaimWeights(OmegaShiftWeights):
+    """The built-in family with its transform's ratio claim replaced by the
+    claim that the squared transformed child weights are at least 1.  At
+    t = 0.5 they are 4^S(u) 2^n / (n + 1)^2, whose least value is 4^S(u) 4/9:
+    the claim fails at digit sum 0 and holds at every other one."""
+
+    def _aluthge_closed_form(self, u, t):
+        return Diverges(TermsDoNotVanish(0, 1.0))
+
+
 class TestSharedStreams:
-    # The family says through ``_stream_key`` which vertices share a child
-    # stream, and the certificate check reads each shared stream once.
+    # The family hands its transforms one child stream in units of 4^S(u)
+    # through ``_aluthge_unit_terms``, and a transform checks a ratio claim
+    # on it once.
     FAMILIES = {
         "paper": lambda: OmegaShiftWeights(),
         "descendant": lambda: OmegaShiftWeights(descendant_subtree(omega_tree(), OmegaVertex(0, (2,)))),
@@ -283,30 +299,45 @@ class TestSharedStreams:
 
     @pytest.mark.parametrize("t", [1.0, 0.9, 0.5, 0.1, 0.02])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_every_vertex_streams_its_key_representatives_terms(self, family, t):
+    def test_unit_stream_scaled_is_every_vertex_stream(self, family, t):
         w = self.FAMILIES[family]()
         mu = aluthge_weights(w, t)
         for depth, digits in [(2, 3), (3, 2), (3, 3)]:
-            sample = sample_vertices(w.tree, SampleWindow(depth_bound=depth, digit_bound=digits))
-            representatives = {}
-            for u in sample:
-                cert = mu.aggregate(u).certificate
-                terms = [term.hex() for term in itertools.islice(mu.child_terms(u, cert.start), 48)]
-                assert len(terms) == 48
-                assert representatives.setdefault(w._stream_key(u), (cert, terms)) == (cert, terms), u
-            assert None not in representatives
-            assert len(representatives) < len(sample)
+            for u in sample_vertices(w.tree, SampleWindow(depth_bound=depth, digit_bound=digits)):
+                start = mu.aggregate(u).certificate.start
+                terms = list(itertools.islice(mu.child_terms(u, start), 48))
+                unit = list(itertools.islice(w._aluthge_unit_terms(t, start), 48))
+                assert len(terms) == len(unit) == 48
+                for term, g in zip(terms, unit):
+                    assert 4.0**u.digit_sum * g == pytest.approx(term, rel=1e-14, abs=0.0), (u, term)
 
     def test_other_systems_share_nothing(self):
         tree = finite_tree([None, 0, 0])
         systems = [
-            (TableWeights(tree, {1: 1.0, 2: 2.0}), 0),
-            (CallableWeights(nat_path(), lambda v: 1.0), 3),
-            (PolarWeights(OmegaShiftWeights()), OmegaVertex(0, (1,))),
-            (AluthgeWeights(OmegaShiftWeights(), 0.5), OmegaVertex(0, (1,))),
+            TableWeights(tree, {1: 1.0, 2: 2.0}),
+            CallableWeights(nat_path(), lambda v: 1.0),
+            PolarWeights(OmegaShiftWeights()),
+            AluthgeWeights(OmegaShiftWeights(), 0.5),
         ]
-        for w, u in systems:
-            assert w._stream_key(u) is None, type(w).__name__
+        for w in systems:
+            assert w._aluthge_unit_terms(0.5, 0) is None, type(w).__name__
+
+    def test_claim_that_is_not_a_ratio_claim_is_checked_at_each_vertex(self, monkeypatch):
+        calls = []
+        verify = series.verify_certificate
+
+        def counting_verify(*args, **kwargs):
+            calls.append(args[0])
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(series, "verify_certificate", counting_verify)
+        w = FloorClaimWeights()
+        sample = [OmegaVertex(0, (1,)), OmegaVertex(1, (1, 0)), OmegaVertex(2, (3,))]
+        report = certify_trivial_aluthge_domain(w, 0.5, sample=sample)
+        assert report.status == "certified-family"
+        assert calls == [TermsDoNotVanish(0, 1.0)] * 3
+        with pytest.raises(CertificateError, match="below claimed bound"):
+            certify_trivial_aluthge_domain(w, 0.5, sample=sample + [OmegaVertex(1)])
 
     def test_overclaim_at_a_shared_digit_sum_caught(self):
         sample = sample_vertices(omega_tree(), WINDOW)

@@ -185,6 +185,18 @@ class TestOracleCommand:
         code, report, err = run(capsys, ["oracle", "--random", "3", "--seed", "-1"])
         assert (code, report, err) == (1, None, "error: --seed must be at least 0, got -1\n")
 
+    def test_random_count_is_bounded_before_any_tree_is_built(self, capsys, monkeypatch):
+        from treeshift import oracle
+
+        built = []
+        monkeypatch.setattr(oracle, "random_tree_corpus", lambda count, *args, **kwargs: built.append(count) or [])
+        code, report, err = run(capsys, ["oracle", "--random", "100000000", "--t", "0.5"])
+        assert (code, report, err) == (1, None, "error: --random must be at most 10,000, got 100,000,000\n")
+        assert built == []
+        # the bound itself is accepted
+        code, report, _ = run(capsys, ["oracle", "--random", "10000", "--t", "0.5"])
+        assert code == 0 and built == [10000] and report["inputs"]["source"]["random"] == 10000
+
     def test_file_run_ignores_the_seed(self, tmp_path, capsys):
         path = write(tmp_path, "tree.json", FOUR_VERTEX)
         code, report, _ = run(capsys, ["oracle", path, "--t", "0.5", "--seed", "-1"])
@@ -260,18 +272,52 @@ class TestFiniteReports:
         assert err.startswith("numerical failure: the report holds a non-finite value")
 
 
+FAMILY_DOCS = {
+    "paper": {"family": "paper"},
+    "descendant": {"family": "descendant", "apex": {"level": 0, "digits": [2]}},
+}
+SLACK_REASON = (
+    "numerical failure: claimed ratio 1.0000000001906053 lies within the float slack of 1; "
+    "no float check can confirm it\n"
+)
+START_CAP_REASON = "numerical failure: no increasing index found; growth too close to 1\n"
+
+
 class TestNumericalFailures:
     @pytest.mark.parametrize(
-        "argv",
-        [["analyze", "{paper}", "--t", "0.001"]],
-        ids=["analyze-small-t"],
+        "argv, message",
+        [
+            (["analyze", "{paper}", "--t", "4e-5"], SLACK_REASON),
+            (["analyze", "{descendant}", "--t", "4e-5"], SLACK_REASON),
+            (["analyze", "{paper}", "--t", "1e-8"], START_CAP_REASON),
+            (["analyze", "{descendant}", "--t", "1e-8"], START_CAP_REASON),
+            (
+                ["aluthge-weights", "{paper}", "--t", "0.5", "--vertex", "2:600,1"],
+                "numerical failure: squared-weight sum at OmegaVertex(1, (600,)) overflows\n",
+            ),
+        ],
+        ids=[
+            "analyze-small-t",
+            "analyze-small-t-descendant",
+            "analyze-start-cap",
+            "analyze-start-cap-descendant",
+            "aluthge-weights-overflow",
+        ],
     )
-    def test_exit_three_without_traceback(self, tmp_path, capsys, argv):
-        path = write(tmp_path, "tree.json", {"family": "paper"})
-        code, report, err = run(capsys, [arg.format(paper=path) for arg in argv])
+    def test_exit_three_without_traceback(self, tmp_path, capsys, argv, message):
+        paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in FAMILY_DOCS.items()}
+        code, report, err = run(capsys, [arg.format(**paths) for arg in argv])
         assert code == 3
         assert report is None
-        assert err.startswith("numerical failure:")
+        assert err == message
+
+    def test_overflowing_family_weight_names_its_vertex(self, tmp_path, capsys):
+        # 2^(digit sum - last digit) passes the double range at 2^1024
+        path = write(tmp_path, "tree.json", {"family": "paper"})
+        vertex = "1:" + ",".join(["9"] * 120)
+        code, report, err = run(capsys, ["aluthge-weights", path, "--t", "0.5", "--vertex", vertex])
+        assert (code, report) == (3, None)
+        assert err == f"numerical failure: weight at OmegaVertex(1, {(9,) * 120}) overflows\n"
 
     def test_overflowing_path_weight(self, tmp_path, capsys):
         # the first weight overflows itself; the second is finite, but its square is not
@@ -298,6 +344,21 @@ class TestNumericalFailures:
         assert code == 3
         assert report is None
         assert err == "numerical failure: no increasing index found; growth too close to 1\n"
+
+
+class TestFamilyAtSmallT:
+    # The transform's ratio claim is checked on the family's stream in units
+    # of 4^S(u), whose terms stay finite however late the claim starts; the
+    # t below the checkable range are in ``TestNumericalFailures``.
+    @pytest.mark.parametrize("t", ["0.003", "0.002", "0.001", "1e-4"])
+    @pytest.mark.parametrize("family", sorted(FAMILY_DOCS))
+    def test_certified_family(self, tmp_path, capsys, family, t):
+        path = write(tmp_path, "tree.json", FAMILY_DOCS[family])
+        code, report, _ = run(capsys, ["analyze", path, "--t", t])
+        assert code == 0
+        domain = report["verdicts"]["aluthge_domain"]
+        assert domain["status"] == "certified-family"
+        assert domain["family_certificate"]["start"] > 400
 
 
 class TestNonFiniteWeights:

@@ -109,7 +109,7 @@ FAMILY_HOOKS = (
     "_closed_form",
     "_aluthge_closed_form",
     "child_norms_and_weights",
-    "_stream_key",
+    "_aluthge_unit_terms",
     "_family_margin",
     "_pairing_growth",
 )
@@ -161,8 +161,8 @@ def vertex_attribute_reads(source: str) -> list:
 
 
 def test_analysis_reads_no_vertex_attribute():
-    # Which vertices share a certificate stream is the weight system's to
-    # say, through ``_stream_key``; the analysis never reads a vertex's digits.
+    # How vertices share a certificate stream is the weight system's to say,
+    # through ``_aluthge_unit_terms``; the analysis never reads a vertex's digits.
     assert vertex_attribute_reads((PACKAGE / "analysis.py").read_text(encoding="utf-8")) == []
 
 
@@ -171,14 +171,14 @@ def test_vertex_attribute_check_flags_planted_reads():
         "def certify(w, u, seen):\n"
         "    key = u.digit_sum\n"
         "    seen.add((key, u.digits[-1], u.level))\n"
-        "    return w._stream_key(u), u.child(0)\n"
+        "    return w._aluthge_unit_terms(0.5, key), u.child(0)\n"
     )
     assert vertex_attribute_reads(source) == ["digit_sum (line 2)", "digits (line 3)", "level (line 3)"]
 
 
 # The transformed system checks its base's divergence claim where it takes the
-# claim in, so the analysis reaches no child stream and no stream key.
-STREAM_HOOKS = ("_stream_key", "child_terms", "child_norms_and_weights")
+# claim in, so the analysis reaches no child stream, unit stream included.
+STREAM_HOOKS = ("_aluthge_unit_terms", "child_terms", "child_norms_and_weights")
 
 
 def stream_hook_names(source: str) -> list:
@@ -205,12 +205,12 @@ def test_stream_hook_check_flags_planted_names():
     source = (
         "from .weights import child_norms_and_weights\n\n\n"
         "def certify(w, mu, u, cert):\n"
-        "    key = w._stream_key(u)\n"
+        "    unit = w._aluthge_unit_terms(mu.t, cert.start)\n"
         "    terms = mu.child_terms(u, cert.start)\n"
-        "    return key, terms, mu.weight(u), child_terms\n"
+        "    return unit, terms, mu.weight(u), child_terms\n"
     )
     assert stream_hook_names(source) == [
-        "_stream_key (line 5)",
+        "_aluthge_unit_terms (line 5)",
         "child_norms_and_weights (line 1)",
         "child_terms (line 6)",
         "child_terms (line 7)",

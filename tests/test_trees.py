@@ -409,3 +409,14 @@ class TestSampling:
             deep = set(vs) - sweep
             assert sweep <= set(vs) and len(deep) <= deep_count
             assert all(v.level > levels[1] for v in deep)
+
+    def test_sweep_vertices_skip_no_field_of_a_checked_vertex(self):
+        # The sweep builds its words without ``__post_init__``; each vertex
+        # still equals, hashes and prints like one built through it.
+        for window in (SampleWindow(), SampleWindow(levels=(0, 1), digit_bound=4, depth_bound=2)):
+            for v in sample_vertices(omega_tree(), window):
+                checked = OmegaVertex(v.level, v.digits)
+                assert (v, hash(v), repr(v), vars(v)) == (checked, hash(checked), repr(checked), vars(checked))
+                assert type(v.level) is int and type(v.digits) is tuple
+        with pytest.raises(StructureError):
+            OmegaVertex(0, (0, 1))  # a direct call still checks its word
