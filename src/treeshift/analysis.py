@@ -141,7 +141,10 @@ def check_hyponormal(w: WeightSystem, sample=None) -> HyponormalityReport:
                         witness=(v, "zero-norm-child"),
                     )
                 continue
-            terms.append(abs(weight) ** 2 / child_norm**2)
+            try:
+                terms.append(abs(weight) ** 2 / child_norm**2)
+            except OverflowError as exc:  # either square
+                raise OverflowError(f"margin term at {v!r} overflows") from exc
         if incomplete:
             continue
         margin = math.fsum(terms)
@@ -261,7 +264,10 @@ def nonclosability_witness(
         raise NoWitnessError("the adjoint shift annihilates this vector")
     base = support[0]
     coeff = image.e[base]
-    base_sq = abs(coeff) ** 2
+    try:
+        base_sq = abs(coeff) ** 2
+    except OverflowError as exc:
+        raise OverflowError(f"squared adjoint coefficient at {base!r} overflows") from exc
 
     def pairing_term(k: int) -> float:
         return pairing(k) * base_sq

@@ -107,7 +107,10 @@ def _path_weight_fn(spec: dict, family: str):
         scale = _parse_number(spec.get("scale", 1.0), "'weights' field 'scale'", real=False)
 
         def geometric(v):
-            weight = scale * base**v
+            try:
+                weight = scale * base**v  # float ** raises where it should give inf
+            except OverflowError:
+                weight = math.inf
             if not cmath.isfinite(weight):
                 raise OverflowError(f"path weight at {v} overflows")
             return weight

@@ -9,11 +9,8 @@ in that order; only the last two are cached.  Of the closed forms only a
 transform's may claim divergence, and the transformed system checks that
 claim; ``sum_series`` checks a node-norm claim (``_divergence_claim``).
 
-A transformed system reads its base's children through one hook,
-``child_norms_and_weights(u, first)``, a lazy stream of ``(node norm,
-weight)`` pairs.  By default it builds each child and asks for both; the
-built-in family computes them by digit arithmetic from the parent's digit
-sum, with the same float expressions and without building any child.  A
+Every system's child terms are its squared weights, one ``weight`` call per
+child, so a transform's terms are its own transformed weights squared.  A
 ratio claim is checked on the base's ``_aluthge_unit_terms`` instead, where
 the base has them: one stream for every vertex.
 """
@@ -45,11 +42,10 @@ class WeightSystem:
     """Base class: weights live on non-root vertices of ``tree``.
 
     A family states its analytic facts through hooks that the analysis layer
-    reads without naming a class; the built-in family overrides all seven:
+    reads without naming a class; the built-in family overrides all six:
     ``_closed_form`` and ``_aluthge_closed_form`` (aggregates of the system
     and of its transforms; only the latter may claim divergence, which
     ``AluthgeWeights`` checks), ``closed_form_total`` (they cover every vertex),
-    ``child_norms_and_weights`` (the children's norms and weights, streamed),
     ``_aluthge_unit_terms`` (a transform's child stream up to a positive factor
     of the vertex), ``_family_margin``
     (the vertex-independent hyponormality margin, or ``None``) and
@@ -128,13 +124,6 @@ class WeightSystem:
         """Squared weights of the children of ``u``, in enumeration order
         from child index ``first`` on."""
         return (abs(self.weight(v)) ** 2 for v in self.tree.children(u, first))
-
-    def child_norms_and_weights(self, u, first: int = 0) -> Iterator[tuple[float, complex]]:
-        """``(finite_norm(v), weight(v))`` for each child ``v`` of ``u``, in
-        enumeration order from child index ``first`` on; lazy, so each pair
-        is computed when it is read."""
-        for v in self.tree.children(u, first):
-            yield self.finite_norm(v), self.weight(v)
 
     def node_norm(self, u) -> float:
         """Norm of the shift at the basis vector of ``u``: the square root of
@@ -242,17 +231,6 @@ class OmegaShiftWeights(WeightSystem):
         inv_sq = series.inverse_square_sum()
         return series.Converges(scale * inv_sq.value, scale * inv_sq.tail_bound)
 
-    def child_norms_and_weights(self, u, first=0):
-        # Child n of u has digit sum S(u) + n and last digit n, so its node
-        # norm and weight are the float expressions of ``_closed_form`` and
-        # ``weight`` at that child, evaluated without building it.
-        self.tree.require_vertex(u)
-        s = u.digit_sum
-        inv_sq = series.inverse_square_sum().value
-        scale = 2.0**s
-        for n in itertools.count(first):
-            yield math.sqrt(4.0 ** (s + n) * inv_sq), complex(scale / (n + 1))
-
     def _aluthge_unit_terms(self, t, first):
         # squared transformed child weights at u are 4^S(u) * 4^(t n) / (n + 1)^2;
         # 4^(t n) is taken from its exponent, so no 2^n or 4^(S(u) + n) is formed
@@ -351,25 +329,6 @@ class AluthgeWeights(WeightSystem):
         if parent_norm == 0.0:
             return 0j
         return (child_norm / parent_norm) ** self.t * weight
-
-    def child_terms(self, u, first=0):
-        # The parent norm is the same for every child: take it once, before
-        # the first child's norm, so an infinite one still names that child.
-        for v in self.tree.children(u, first):
-            parent_norm = self.base.finite_norm(u, vertex=v)
-            break
-        else:
-            return
-        pairs = self.base.child_norms_and_weights(u, first)
-        if parent_norm == 0.0:
-            # every term is 0, but each child is still read, so a norm or
-            # weight that ``weight`` would refuse is refused here too
-            for _ in pairs:
-                yield 0.0
-            return
-        t = self.t
-        for child_norm, weight in pairs:
-            yield abs((child_norm / parent_norm) ** t * weight) ** 2
 
     def _summed_aggregate(self, u):
         # A transformed weight that needs an undetermined base norm is

@@ -207,20 +207,19 @@ class TestTrivialityWork:
     @pytest.mark.parametrize("t, unit_terms", [(0.5, 46), (0.1, 35), (0.02, 17)])
     def test_unit_terms_read_and_no_cached_closed_forms(self, monkeypatch, t, unit_terms):
         w = OmegaShiftWeights(descendant_subtree(omega_tree(), OmegaVertex(0, (2,))))
-        pairs, terms = [], []
-        stream, unit = OmegaShiftWeights.child_norms_and_weights, OmegaShiftWeights._aluthge_unit_terms
+        weighed, terms = [], []
+        weight, unit = OmegaShiftWeights.weight, OmegaShiftWeights._aluthge_unit_terms
 
-        def counting_pairs(self, u, first=0):
-            for pair in stream(self, u, first):
-                pairs.append(pair)
-                yield pair
+        def counting_weight(self, v):
+            weighed.append(v)
+            return weight(self, v)
 
         def counting_unit(self, t, first):
             for term in unit(self, t, first):
                 terms.append(term)
                 yield term
 
-        monkeypatch.setattr(OmegaShiftWeights, "child_norms_and_weights", counting_pairs)
+        monkeypatch.setattr(OmegaShiftWeights, "weight", counting_weight)
         monkeypatch.setattr(OmegaShiftWeights, "_aluthge_unit_terms", counting_unit)
         sample = sample_vertices(w.tree, self.WINDOW)
         report = certify_trivial_aluthge_domain(w, t, sample=sample)
@@ -228,7 +227,7 @@ class TestTrivialityWork:
         assert len(sample) == 21 and len({u.digit_sum for u in sample}) == 7
         start = report.family_certificate.start
         assert len(terms) == max(48, start + 17) - start == unit_terms
-        assert pairs == []
+        assert weighed == []
         assert w._aggregates == {}
 
     def test_one_check_per_transform_on_the_paper_sample(self, monkeypatch):

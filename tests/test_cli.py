@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -281,6 +282,19 @@ SLACK_REASON = (
     "no float check can confirm it\n"
 )
 START_CAP_REASON = "numerical failure: no increasing index found; growth too close to 1\n"
+# 1e-300 ** v raises OverflowError for v <= -2 rather than giving inf; -6 is
+# the first such vertex the command reads.  |1e300|^2 leaves the double range,
+# though the norm at a, 1, does not.
+OVERFLOW_DOCS = {
+    "tiny_base": {"family": "int_path", "weights": {"kind": "geometric", "base": 1e-300}},
+    "huge_weight": {
+        "vertices": ["r", "a", "b"],
+        "edges": [
+            {"parent": "r", "child": "a", "weight": 1e300},
+            {"parent": "a", "child": "b", "weight": 1.0},
+        ],
+    },
+}
 
 
 class TestNumericalFailures:
@@ -295,6 +309,16 @@ class TestNumericalFailures:
                 ["aluthge-weights", "{paper}", "--t", "0.5", "--vertex", "2:600,1"],
                 "numerical failure: squared-weight sum at OmegaVertex(1, (600,)) overflows\n",
             ),
+            (
+                ["aluthge-weights", "{tiny_base}", "--t", "0.5"],
+                "numerical failure: path weight at -6 overflows\n",
+            ),
+            (["analyze", "{huge_weight}"], "numerical failure: margin term at 1 overflows\n"),
+            (
+                # the adjoint takes e_(0:512,0) to 2^512 e_(-1:512)
+                ["witness", "--t", "0.5", "--vertex=0:512,0"],
+                "numerical failure: squared adjoint coefficient at OmegaVertex(-1, (512,)) overflows\n",
+            ),
         ],
         ids=[
             "analyze-small-t",
@@ -302,10 +326,14 @@ class TestNumericalFailures:
             "analyze-start-cap",
             "analyze-start-cap-descendant",
             "aluthge-weights-overflow",
+            "path-weight-power-overflow",
+            "margin-term-overflow",
+            "adjoint-coefficient-overflow",
         ],
     )
     def test_exit_three_without_traceback(self, tmp_path, capsys, argv, message):
-        paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in FAMILY_DOCS.items()}
+        docs = {**FAMILY_DOCS, **OVERFLOW_DOCS}
+        paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
         code, report, err = run(capsys, [arg.format(**paths) for arg in argv])
         assert code == 3
         assert report is None
@@ -554,6 +582,84 @@ class TestSpecParsingProperty:
         while words and words[0] == 0:
             words.pop(0)
         assert weights.tree.apex == OmegaVertex(int(level), tuple(words))
+
+
+# The input contract: every command on every well-formed input ends in a
+# report or a documented exit code with a reason, never a traceback.  Weights
+# come from the whole double range; wrong values are not judged here.
+DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-170, 1e170, 1e300, -1e300, 1.7976931348623157e308]
+)
+WEIGHTS = DOUBLES | st.lists(DOUBLES, min_size=2, max_size=2)
+CONTRACT_T = st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([1.0, 0.5, 1e-3, 4e-5, 1e-8, 5e-324])
+
+
+@st.composite
+def explicit_trees(draw):
+    """A tree of 1 to 12 vertices, each vertex below one drawn earlier."""
+    count = draw(st.integers(1, 12))
+    edges = [
+        {"parent": f"v{draw(st.integers(0, i - 1))}", "child": f"v{i}", "weight": draw(WEIGHTS)}
+        for i in range(1, count)
+    ]
+    return {"vertices": [f"v{i}" for i in range(count)], "edges": edges}
+
+
+PATH_DOCS = st.fixed_dictionaries(
+    {
+        "family": st.sampled_from(["nat_path", "int_path"]),
+        "weights": st.fixed_dictionaries({"kind": st.just("constant"), "value": WEIGHTS})
+        | st.fixed_dictionaries({"kind": st.just("geometric"), "base": DOUBLES, "scale": WEIGHTS}),
+    }
+)
+LARGE_DIGITS = st.integers(0, 9) | st.integers(0, 2**70) | st.just(10**400)
+APEXES = st.tuples(st.integers(-5, 5), st.lists(LARGE_DIGITS, max_size=3))
+
+
+def contract_runs(case, t):
+    """``(argv, tree document or None)`` for each command the drawn input reaches."""
+    kind, value = case
+    doc = value
+    if kind == "apex":
+        level, digits = value
+        doc = {"family": "descendant", "apex": {"level": level, "digits": digits}}
+    commands = ["analyze", "aluthge-weights"] + (["oracle"] if kind == "explicit" else [])
+    runs = [([command, "{file}", "--t", repr(t)], doc) for command in commands]
+    if kind == "apex":
+        word = f"{level}:{','.join(map(str, digits))}"
+        runs.append((["witness", "--t", repr(min(t, 0.999)), f"--vertex={word}", "--K", "40"], None))
+    return runs
+
+
+class TestInputContract:
+    @given(
+        case=st.tuples(st.just("explicit"), explicit_trees())
+        | st.tuples(st.just("path"), PATH_DOCS)
+        | st.tuples(st.just("apex"), APEXES),
+        t=CONTRACT_T,
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_every_command_ends_in_a_report_or_a_reason(self, tmp_path_factory, case, t):
+        path = tmp_path_factory.getbasetemp() / "contract.json"
+        for argv, doc in contract_runs(case, t):
+            if doc is not None:
+                path.write_text(json.dumps(doc))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([arg.format(file=path) for arg in argv])
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 1, 2, 3), (argv, doc)
+            if code == 0:
+                json.loads(out)
+            elif code == 2:
+                assert argv[0] == "oracle", (argv, doc, err)
+                json.loads(out)
+                assert "oracle: FAIL" in err
+            else:
+                assert out == "", (argv, doc)
+                reason = err.partition("error: " if code == 1 else "numerical failure: ")[2]
+                assert reason.strip(), (argv, doc, err)
+                assert re.search(r"\(\d+, '", err) is None, (argv, doc, err)  # a bare errno tuple
 
 
 class TestOutOfRangeCounts:

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every
-function a package module defines is used somewhere, the analysis layer
-reaches family facts only through weight-system hooks, reads no vertex
-attribute, numpy loads only with the oracle, and the CLI writes reports
-through its own writer alone.
+function a package module defines is used somewhere, src adds no defaulted
+parameter past its ceiling, the analysis layer reaches family facts only
+through weight-system hooks, reads no vertex attribute, only ``WeightSystem``
+defines ``child_terms``, numpy loads only with the oracle, and the CLI writes
+reports through its own writer alone.
 
 ``__init__.py`` is exempt from the first check: its imports are the public
 re-exports.
@@ -103,12 +104,40 @@ def test_dead_name_check_flags_an_exported_orphan():
     assert dead_names([module, init], [module, caller]) == ["orphan"]
 
 
+# Every parameter with a default is an option a caller may leave out.  ROADMAP
+# aim 2 tracks this count; a change that adds a default raises the ceiling and
+# gives its reason in CHANGES.md.
+MAX_DEFAULTED_PARAMETERS = 41
+
+
+def defaulted_parameters(source: str) -> int:
+    """Parameters with a default in the ``def`` and ``lambda`` signatures of a module."""
+    return sum(
+        len(node.args.defaults) + sum(default is not None for default in node.args.kw_defaults)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    )
+
+
+def test_src_adds_no_defaulted_parameter():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert sum(map(defaulted_parameters, sources)) <= MAX_DEFAULTED_PARAMETERS
+
+
+def test_default_counter_counts_planted_defaults():
+    source = (
+        "def f(a, b=1, *args, c, d=2, e=None, **kw):\n    return lambda x, y=3: x\n\n\n"
+        "def g(a=1, /, b=2):\n    pass\n\n\n"
+        "class C:\n    async def h(self, p, q=()):\n        pass\n"
+    )
+    assert defaulted_parameters(source) == 7
+
+
 # The hooks through which a weight system states its family's analytic facts.
 FAMILY_HOOKS = (
     "closed_form_total",
     "_closed_form",
     "_aluthge_closed_form",
-    "child_norms_and_weights",
     "_aluthge_unit_terms",
     "_family_margin",
     "_pairing_growth",
@@ -178,7 +207,7 @@ def test_vertex_attribute_check_flags_planted_reads():
 
 # The transformed system checks its base's divergence claim where it takes the
 # claim in, so the analysis reaches no child stream, unit stream included.
-STREAM_HOOKS = ("_aluthge_unit_terms", "child_terms", "child_norms_and_weights")
+STREAM_HOOKS = ("_aluthge_unit_terms", "child_terms")
 
 
 def stream_hook_names(source: str) -> list:
@@ -203,7 +232,7 @@ def test_analysis_names_no_stream_hook():
 
 def test_stream_hook_check_flags_planted_names():
     source = (
-        "from .weights import child_norms_and_weights\n\n\n"
+        "from .weights import child_terms\n\n\n"
         "def certify(w, mu, u, cert):\n"
         "    unit = w._aluthge_unit_terms(mu.t, cert.start)\n"
         "    terms = mu.child_terms(u, cert.start)\n"
@@ -211,10 +240,44 @@ def test_stream_hook_check_flags_planted_names():
     )
     assert stream_hook_names(source) == [
         "_aluthge_unit_terms (line 5)",
-        "child_norms_and_weights (line 1)",
+        "child_terms (line 1)",
         "child_terms (line 6)",
         "child_terms (line 7)",
     ]
+
+
+def child_term_definers(source: str) -> list:
+    """Classes in a module, other than ``WeightSystem``, that define
+    ``child_terms`` by a ``def`` or an assignment."""
+    return sorted(
+        f"{node.name} (line {item.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name != "WeightSystem"
+        for item in node.body
+        if getattr(item, "name", None) == "child_terms"
+        or any(getattr(target, "id", None) == "child_terms" for target in getattr(item, "targets", ()))
+    )
+
+
+# A system's child terms are its squared weights, so a transform's terms
+# cannot drift from its ``weight``: no subclass streams them by a formula of
+# its own.
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_base_class_defines_child_terms(path):
+    assert child_term_definers(path.read_text(encoding="utf-8")) == []
+
+
+def test_child_terms_check_flags_planted_definitions():
+    source = (
+        "class WeightSystem:\n"
+        "    def child_terms(self, u, first=0):\n        return iter(())\n\n\n"
+        "class Transformed(WeightSystem):\n"
+        "    def weight(self, v):\n        return 1j\n\n"
+        "    def child_terms(self, u, first=0):\n        return iter([1.0])\n\n\n"
+        "class Aliased(WeightSystem):\n"
+        "    child_terms = WeightSystem.child_terms\n"
+    )
+    assert child_term_definers(source) == ["Aliased (line 15)", "Transformed (line 10)"]
 
 
 # The series verdicts; only ``operators.basis_domain_verdict`` turns one into

@@ -2,8 +2,6 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from treeshift.analysis import check_densely_defined, check_hyponormal
 from treeshift.errors import EvaluationError, StructureError
@@ -28,7 +26,6 @@ from treeshift.weights import (
     CallableWeights,
     OmegaShiftWeights,
     TableWeights,
-    WeightSystem,
     aluthge_weights,
     node_norm,
     polar_weights,
@@ -327,80 +324,6 @@ class TestChildTerms:
             next(mu.child_terms(0))
         assert by_stream.value.vertex == by_weight.value.vertex == 1
         assert str(by_stream.value) == str(by_weight.value)
-
-
-CANONICAL_VERTICES = st.builds(
-    lambda level, word: OmegaVertex(level, tuple(word)),
-    st.integers(-5, 5),
-    st.lists(st.integers(0, 40), max_size=3).flatmap(
-        lambda rest: st.just([]) if not rest else st.integers(1, 40).map(lambda d: [d] + rest)
-    ),
-)
-
-
-def tree_containing(u, up):
-    """The whole family tree, or the descendant subtree ``up`` levels above ``u``."""
-    if up is None:
-        return omega_tree()
-    apex = u
-    for _ in range(up):
-        apex = omega_tree().parent(apex)
-    return descendant_subtree(omega_tree(), apex)
-
-
-def pairs_until_overflow(pairs, count):
-    """The first ``count`` pairs, and whether the stream overflowed before them."""
-    got = []
-    try:
-        for pair in itertools.islice(pairs, count):
-            got.append(pair)
-    except OverflowError:
-        return got, True
-    return got, False
-
-
-class TestDigitArithmeticStream:
-    """The family's digit-arithmetic ``child_norms_and_weights`` gives the
-    same doubles as building each child and asking for its norm and weight."""
-
-    @given(
-        u=CANONICAL_VERTICES,
-        up=st.none() | st.integers(0, 3),
-        first=st.integers(0, 200),
-        t=st.floats(0.0, 1.0, exclude_min=True),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_bit_equal_to_the_default_stream(self, u, up, first, t):
-        w = OmegaShiftWeights(tree_containing(u, up))
-        got = list(itertools.islice(w.child_norms_and_weights(u, first), 64))
-        expected = list(itertools.islice(WeightSystem.child_norms_and_weights(w, u, first), 64))
-        assert [(n.hex(), c.real.hex(), c.imag.hex()) for n, c in got] == [
-            (n.hex(), c.real.hex(), c.imag.hex()) for n, c in expected
-        ]
-        mu = aluthge_weights(w, t)
-        assert list(itertools.islice(mu.child_terms(u, first), 64)) == weight_by_weight(mu, u, 64, first)
-
-    @given(
-        u=CANONICAL_VERTICES,
-        spread=st.integers(-70, 8),
-        first=st.integers(0, 60),
-        t=st.floats(0.0, 1.0, exclude_min=True),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_overflow_at_the_same_child(self, u, spread, first, t):
-        # prepend a digit that brings the digit sum to 512 + spread
-        u = OmegaVertex(u.level, (512 + spread - u.digit_sum,) + u.digits)
-        w = OmegaShiftWeights()
-        got = pairs_until_overflow(w.child_norms_and_weights(u, first), 64)
-        assert got == pairs_until_overflow(WeightSystem.child_norms_and_weights(w, u, first), 64)
-        # 4.0 ** 512 overflows: child n is the first past a digit sum of 511
-        position = max(512 - u.digit_sum - first, 0)
-        assert got[1] == (position < 64) and len(got[0]) == min(position, 64)
-        mu = aluthge_weights(w, t)
-        with_stream = pairs_until_overflow(mu.child_terms(u, first), 64)
-        by_weight = pairs_until_overflow((abs(mu.weight(v)) ** 2 for v in w.tree.children(u, first)), 64)
-        assert with_stream == by_weight
-        assert with_stream[1] == got[1] and len(with_stream[0]) == len(got[0])
 
 
 class TestUndeterminedNorm:
