@@ -409,6 +409,8 @@ def cmd_oracle(args) -> int:
     t_values = [_check_t(float(x)) for x in args.t.split(",") if x]
     if not t_values:
         raise ParseError("--t needs at least one value")
+    if len(set(t_values)) < len(t_values):  # each instance reports one key per value
+        raise ParseError(f"--t lists {max(t_values, key=t_values.count)} more than once")
     if args.random is not None:
         _check_at_least(args.random, 1, "--random")
         if args.random > _MAX_RANDOM:

@@ -2,12 +2,14 @@
 
 Everything here goes through numpy's SVD rather than the symbolic weight
 formulas, so the two routes can be compared entry by entry.  The polar
-factors reuse one decomposition T = L Σ R*: the positive part and all its
-fractional powers come from the right singular vectors, with singular values
-at or below the rank cutoff treated as exact zeros before powering.  With K
-the kept-rank mask, U = L K R*.  The factors keep U in the right singular
-basis, R*UR = R*(L K), and form U and P only when read, so each transform
-P^t U P^(1-t) = R Σ^t (R*UR) Σ^(1-t) R* costs two matrix products.
+factors reuse one thin decomposition T = L Σ R*, taken of T's block of
+nonzero rows and columns (found from the matrix alone; a shift has one
+nonzero per row and a zero column at each leaf) and kept at the rank r of
+the singular values above the cutoff: L and R are n x r, zero off the
+block, and U = L R*.  The positive part and all its fractional powers come
+from the right singular vectors.  The factors keep U in the right singular
+basis, R*UR = R*L, and form U and P only when read, so each transform
+P^t U P^(1-t) = R Σ^t (R*UR) Σ^(1-t) R* costs two n x r x n products.
 
 The dense side follows the dtype of its input: a shift whose weights all
 have zero imaginary part is assembled and decomposed in real arithmetic
@@ -92,17 +94,17 @@ def assemble(w: WeightSystem, tree: Optional[DirectedTree] = None) -> DenseOpera
 
 @dataclass
 class PolarFactors:
-    """SVD-based polar decomposition T = U P with P = (T*T)^(1/2)."""
+    """SVD-based polar decomposition T = U P with P = (T*T)^(1/2), kept at rank r."""
 
-    singular_values: np.ndarray  # zero at and below the rank cutoff
-    left: np.ndarray
-    right: np.ndarray  # columns are right singular vectors
-    u_core: np.ndarray  # R*UR = R*(L K): U in the right singular basis
+    singular_values: np.ndarray  # the r values above the rank cutoff, largest first
+    left: np.ndarray  # n x r: left singular vectors, zero off T's nonzero rows
+    right: np.ndarray  # n x r: right singular vectors, zero off T's nonzero columns
+    u_core: np.ndarray  # r x r, R*UR = R*L: U in the right singular basis
 
     @property
     def u_factor(self) -> np.ndarray:
-        """U = L K R*, computed from the factorization on each read."""
-        return (self.left * (self.singular_values > 0)) @ self.right.conj().T
+        """U = L R*, computed from the factorization on each read."""
+        return self.left @ self.right.conj().T
 
     @property
     def p_factor(self) -> np.ndarray:
@@ -111,15 +113,24 @@ class PolarFactors:
 
 
 def polar(matrix: np.ndarray) -> PolarFactors:
+    """One thin SVD of the block of nonzero rows and columns, taken tall: a
+    wide block is decomposed as its conjugate transpose with the factors
+    swapped.  The exactly zero rows and columns only pad the factors."""
     matrix = np.asarray(matrix)
     matrix = matrix.astype(np.result_type(matrix, np.float64), copy=False)
+    rows, cols = np.flatnonzero(matrix.any(axis=1)), np.flatnonzero(matrix.any(axis=0))
+    block = matrix[np.ix_(rows, cols)]
+    wide = rows.size < cols.size
     try:
-        left, sigma, right_h = np.linalg.svd(matrix)
+        a, sigma, b_h = np.linalg.svd(block.conj().T if wide else block, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise OracleError(f"SVD failed: {exc}") from exc
-    keep = sigma > DEFAULT_RANK_TOL * (sigma[0] if sigma.size else 0.0)
-    sigma_eff = np.where(keep, sigma, 0.0)
-    return PolarFactors(sigma_eff, left, right_h.conj().T, right_h @ (left * keep))
+    a, b_h = (b_h.conj().T, a.conj().T) if wide else (a, b_h)
+    rank = int(np.count_nonzero(sigma > DEFAULT_RANK_TOL * (sigma[0] if sigma.size else 0.0)))
+    left = np.zeros((matrix.shape[0], rank), dtype=matrix.dtype)
+    right = np.zeros((matrix.shape[1], rank), dtype=matrix.dtype)
+    left[rows], right[cols] = a[:, :rank], b_h[:rank].conj().T
+    return PolarFactors(sigma[:rank], left, right, right.conj().T @ left)
 
 
 def psd_power(factors: PolarFactors, exponent: float) -> np.ndarray:
@@ -146,9 +157,9 @@ def matrix_aluthge(matrix: np.ndarray, t: float) -> np.ndarray:
 
 
 def _transform(factors: PolarFactors, t: float) -> np.ndarray:
-    """P^t U P^(1-t) as R Σ^t (R*UR) Σ^(1-t) R*: two products, the powers of Σ
-    applied as column scalings.  Both exponents lie in [0, 1], so a zero
-    singular value never meets a negative power."""
+    """P^t U P^(1-t) as R Σ^t (R*UR) Σ^(1-t) R*: two n x r x n products, the
+    powers of Σ applied as column scalings.  Σ holds only the values above
+    the cutoff, so no power meets a zero singular value."""
     sigma, right = factors.singular_values, factors.right
     return ((right * sigma**t) @ factors.u_core * sigma ** (1 - t)) @ right.conj().T
 
@@ -157,14 +168,14 @@ def projection_sum_matrix(w: WeightSystem, dense: DenseOperator, alpha: float) -
     """|T*|^alpha assembled as the per-vertex projection sum.
 
     Each active vertex contributes norm^alpha times the rank-one projection
-    onto its shift image; with the shift columns as M and the node norms as
-    s, that is the single product M diag(s^(alpha-2)) M*.
+    onto its shift image; with the active vertices' shift columns as M and
+    their node norms as s, that is the single product M diag(s^(alpha-2)) M*.
+    Vertices of zero norm are left out, not scaled by 0.
     """
     norms = np.array([w.node_norm(u) for u in dense.order], dtype=np.float64)
     active = norms != 0.0
-    scale = np.zeros_like(norms)
-    scale[active] = norms[active] ** (alpha - 2)
-    return (dense.matrix * scale) @ dense.matrix.conj().T
+    columns = dense.matrix[:, active]
+    return (columns * norms[active] ** (alpha - 2)) @ columns.conj().T
 
 
 def dense_hyponormal_defect(matrix: np.ndarray) -> float:

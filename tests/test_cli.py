@@ -198,6 +198,19 @@ class TestOracleCommand:
         code, report, _ = run(capsys, ["oracle", "--random", "10000", "--t", "0.5"])
         assert code == 0 and built == [10000] and report["inputs"]["source"]["random"] == 10000
 
+    # A repeated value ran every comparison twice under one report key.
+    @pytest.mark.parametrize(
+        "t, repeated", [("0.5,0.5", "0.5"), ("0.1,0.5,0.50", "0.5"), ("1,0.9,1.0", "1.0")]
+    )
+    def test_repeated_t_rejected_before_any_tree_is_built(self, capsys, monkeypatch, t, repeated):
+        from treeshift import oracle
+
+        built = []
+        monkeypatch.setattr(oracle, "random_tree_corpus", lambda count, *args, **kwargs: built.append(count) or [])
+        code, report, err = run(capsys, ["oracle", "--random", "3", "--t", t])
+        assert (code, report, err) == (1, None, f"error: --t lists {repeated} more than once\n")
+        assert built == []
+
     def test_file_run_ignores_the_seed(self, tmp_path, capsys):
         path = write(tmp_path, "tree.json", FOUR_VERTEX)
         code, report, _ = run(capsys, ["oracle", path, "--t", "0.5", "--seed", "-1"])

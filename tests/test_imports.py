@@ -426,6 +426,54 @@ def test_eager_import_check_flags_planted_imports():
     ]
 
 
+# The benchmark's tracer counts ``oracle.polar`` calls as SVDs, so no other
+# function may decompose: an SVD anywhere else would run uncounted.
+def svd_sites(source: str) -> list:
+    """Each use of an ``svd`` attribute (``np.linalg.svd``, ``la.svd``) or
+    import of an ``svd`` name, as ``function (line N)``; ``<module>`` at top level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "svd") or (
+                isinstance(child, ast.ImportFrom) and any(a.name == "svd" for a in child.names)
+            ):
+                found.append(f"{scope or '<module>'} (line {child.lineno})")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_polar_is_the_only_svd_site():
+    sites = [
+        f"{path.name}: {site.split(' (')[0]}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in svd_sites(path.read_text(encoding="utf-8"))
+    ]
+    assert sites == ["oracle.py: polar"]
+
+
+def test_svd_site_check_flags_planted_uses():
+    source = (
+        "import numpy as np\n"
+        "import scipy.linalg as la\n"
+        "from numpy.linalg import eigh, svd\n\n\n"
+        "def polar(m):\n    return np.linalg.svd(m)\n\n\n"
+        "class Oracle:\n    def rank(self, m):\n        return la.svd(m, compute_uv=False)\n\n\n"
+        "def decompose(m):\n    return np.linalg.eigh(m), np.linalg.svd(m, full_matrices=False)\n"
+    )
+    assert svd_sites(source) == [
+        "<module> (line 3)",
+        "Oracle.rank (line 12)",
+        "decompose (line 16)",
+        "polar (line 7)",
+    ]
+
+
 ORACLE_NAMES = ("assemble", "compare_with_formula", "matrix_aluthge", "polar", "random_tree_corpus")
 
 

@@ -62,6 +62,25 @@ class TestAssemble:
             assemble(OmegaShiftWeights(), omega_tree())
 
 
+def _block_shape_matrices(dtype):
+    rng = np.random.default_rng(41)
+
+    def draw(*shape):
+        values = rng.normal(size=shape)
+        return values + 1j * rng.normal(size=shape) if dtype == np.complex128 else values
+
+    unitary, _ = np.linalg.qr(draw(5, 5))
+    tall = np.zeros((6, 6), dtype=dtype)
+    tall[np.ix_([0, 2, 3, 5], [1, 4])] = draw(4, 2)  # two zero rows, four zero columns
+    return {
+        "zero": np.zeros((4, 4), dtype=dtype),
+        "zero 1x1": np.zeros((1, 1), dtype=dtype),
+        "unitary": unitary,
+        "tall": tall,
+        "wide": tall.conj().T,
+    }
+
+
 class TestPolar:
     def test_zero_matrix(self):
         factors = polar(np.zeros((4, 4)))
@@ -90,6 +109,51 @@ class TestPolar:
             eigvals, eigvecs = np.linalg.eigh(matrix.conj().T @ matrix)
             root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
             assert np.max(np.abs(root - factors.p_factor)) <= 1e-9
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("name", ["zero", "zero 1x1", "unitary", "tall", "wide"])
+    def test_factors_on_degenerate_and_block_inputs(self, dtype, name):
+        matrix = _block_shape_matrices(dtype)[name]
+        n = matrix.shape[0]
+        factors = polar(matrix)
+        u, p = factors.u_factor, factors.p_factor
+        scale = 1.0 + np.max(np.abs(matrix))
+        assert u.shape == p.shape == (n, n) and u.dtype == p.dtype == dtype
+        assert np.max(np.abs(u @ p - matrix)) <= 1e-12 * scale
+        proj = u.conj().T @ u
+        assert np.max(np.abs(proj @ proj - proj)) <= 1e-12
+        assert np.max(np.abs(proj - proj.conj().T)) <= 1e-12
+        # eigh leaves the kernel's eigenvalues near eps * lambda_max, whose
+        # roots are near 1e-8: count those below 1e-12 * lambda_max as zero.
+        eigvals, eigvecs = np.linalg.eigh(matrix.conj().T @ matrix)
+        eigvals[eigvals <= 1e-12 * eigvals[-1]] = 0.0
+        root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
+        assert np.max(np.abs(root - p)) <= 1e-12 * scale
+        for power in (psd_power, left_psd_power):
+            identity = power(factors, 0)
+            assert identity.dtype == dtype
+            assert np.array_equal(identity, np.eye(n))
+
+    def test_svd_factors_the_tall_nonzero_block(self, monkeypatch):
+        # Both decompositions of one comparison factor T's block of nonzero
+        # rows and columns, taller than wide: the adjoint's block is wide, so
+        # polar decomposes its conjugate transpose, which is T's block again.
+        (tree, w), = _large_trees([200], seed=5)
+        matrix = assemble(w).matrix
+        block = matrix[np.ix_(matrix.any(axis=1), matrix.any(axis=0))]
+        assert block.shape[0] > block.shape[1] and block.shape[0] < matrix.shape[0]
+        inputs = []
+        real_svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            inputs.append(np.array(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        compare_with_formula(w, t_values=(0.5,))
+        assert len(inputs) == 2
+        for got in inputs:
+            assert got.shape == block.shape and np.array_equal(got, block)
 
 
 class TestRealArithmetic:
@@ -185,12 +249,13 @@ class TestTransformInTwoProducts:
     @pytest.mark.parametrize("t", [0.1, 0.5, 0.9, 1.0])
     def test_matches_four_product_route(self, t):
         # At t = 1 the reference multiplies by P^0 = I; every instance has a
-        # kernel, so zero singular values meet the powers 0 and 1 - t.
+        # kernel, so the kept rank is below n and the two-product route's
+        # powers 0 and 1 - t act on range(P) only.
         for tree, w in _rank_deficient_instances():
             matrix = assemble(w, tree).matrix
             for side in (matrix, matrix.conj().T):
                 factors = polar(side)
-                assert np.any(factors.singular_values == 0.0)
+                assert factors.singular_values.size < side.shape[0]
                 got = oracle._transform(factors, t)
                 assert got.dtype == side.dtype
                 want = _four_product_transform(factors, t)
@@ -374,6 +439,62 @@ def _per_column_values(w, t_values):
             formula[:, dense.index[v]] = dense_vector(vec, dense)
         values["adjoint_aluthge", t] = np.max(np.abs(transform - formula))
     return values, skipped
+
+
+def _full_svd_polar(matrix):
+    """The full n x n SVD route polar took before it decomposed only the
+    nonzero block; the same cutoff, with the factors cut to the kept rank."""
+    matrix = np.asarray(matrix)
+    matrix = matrix.astype(np.result_type(matrix, np.float64), copy=False)
+    left, sigma, right_h = np.linalg.svd(matrix)
+    rank = int(np.count_nonzero(sigma > oracle.DEFAULT_RANK_TOL * (sigma[0] if sigma.size else 0.0)))
+    left, right_h = left[:, :rank], right_h[:rank]
+    return oracle.PolarFactors(sigma[:rank], left, right_h.conj().T, right_h @ left)
+
+
+def _large_trees(sizes, seed):
+    """Trees built as the oracle-large benchmark builds them: random recursive
+    parents and weight moduli in [0.1, 4); the last tree is complex."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i, n in enumerate(sizes):
+        parents = [None] + [int(rng.integers(0, j)) for j in range(1, n)]
+        values = rng.uniform(0.1, 4.0, size=n - 1).astype(np.complex128)
+        if i == len(sizes) - 1:
+            values *= np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=n - 1))
+        tree = finite_tree(parents)
+        out.append((tree, TableWeights(tree, {v: values[v - 1] for v in range(1, n)})))
+    return out
+
+
+def _report_items(report):
+    for key, value in report.to_dict().items():
+        if isinstance(value, dict):
+            yield from (((key, k), v) for k, v in value.items())
+        else:
+            yield key, value
+
+
+class TestBlockRoute:
+    T_VALUES = (0.1, 0.5, 0.9, 1.0)
+
+    @staticmethod
+    def _instances():
+        yield from random_tree_corpus(200, 42, complex_count=20)
+        yield from _large_trees([120, 156, 192, 228, 264, 300], seed=11)
+
+    def test_reports_what_the_full_route_reports(self, monkeypatch):
+        for tree, w in self._instances():
+            got = dict(_report_items(compare_with_formula(w, tree, t_values=self.T_VALUES)))
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "polar", _full_svd_polar)
+                want = dict(_report_items(compare_with_formula(w, tree, t_values=self.T_VALUES)))
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                if isinstance(value, float):
+                    assert abs(got[key] - value) <= 1e-13, key
+                else:  # n, the booleans and skipped_singular
+                    assert got[key] == value, key
 
 
 class TestBundleCache:
