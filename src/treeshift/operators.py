@@ -55,13 +55,16 @@ def _sort_key(v):
 
 
 class StructuredVector:
-    """Finite combination of basis vectors and child bundles."""
+    """Finite combination of basis vectors and child bundles.
+
+    A vector built here checks that every bundle term has a finite positive
+    node norm; the operations below build through ``_checked_vector``, whose
+    bundle terms have passed that check already."""
 
     __slots__ = ("weights", "e", "b")
 
     def __init__(self, weights: Optional[WeightSystem] = None, e=None, b=None):
-        self.e = {v: complex(c) for v, c in (e or {}).items() if c != 0}
-        self.b = {u: complex(c) for u, c in (b or {}).items() if c != 0}
+        _fill(self, weights, e or {}, b or {})
         if self.b:
             if weights is None:
                 raise MixedBasisError("bundle terms need their weight system")
@@ -70,15 +73,12 @@ class StructuredVector:
                     raise EvaluationError(
                         f"bundle at {u!r} needs a finite positive node norm", vertex=u
                     )
-            self.weights = weights
-        else:
-            self.weights = None
 
     # -- algebra ---------------------------------------------------------
 
     def scaled(self, c) -> "StructuredVector":
         c = complex(c)
-        return StructuredVector(
+        return _checked_vector(
             self.weights,
             {v: c * x for v, x in self.e.items()},
             {u: c * x for u, x in self.b.items()},
@@ -92,7 +92,7 @@ class StructuredVector:
         b = dict(self.b)
         for u, c in other.b.items():
             b[u] = b.get(u, 0j) + c
-        return StructuredVector(basis, e, b)
+        return _checked_vector(basis, e, b)
 
     def __sub__(self, other: "StructuredVector") -> "StructuredVector":
         return self + other.scaled(-1.0)
@@ -142,6 +142,20 @@ class StructuredVector:
         parts = [f"{c:.4g}*e[{v!r}]" for v, c in sorted(self.e.items(), key=lambda p: _sort_key(p[0]))]
         parts += [f"{c:.4g}*b[{u!r}]" for u, c in sorted(self.b.items(), key=lambda p: _sort_key(p[0]))]
         return "StructuredVector(" + (" + ".join(parts) if parts else "0") + ")"
+
+
+def _fill(vec: StructuredVector, weights: Optional[WeightSystem], e, b) -> None:
+    vec.e = {v: complex(c) for v, c in e.items() if c != 0}
+    vec.b = {u: complex(c) for u, c in b.items() if c != 0}
+    vec.weights = weights if vec.b else None
+
+
+def _checked_vector(weights: Optional[WeightSystem], e, b) -> StructuredVector:
+    """A vector from terms whose bundles the caller has checked: ``weights``
+    is their system, and each has a finite positive node norm there."""
+    vec = StructuredVector.__new__(StructuredVector)
+    _fill(vec, weights, e, b)
+    return vec
 
 
 def _common_basis(f: StructuredVector, g: StructuredVector) -> Optional[WeightSystem]:
@@ -255,7 +269,7 @@ def apply_shift(w: WeightSystem, f: StructuredVector) -> StructuredVector:
         if s == 0.0:
             continue
         out[v] = out.get(v, 0j) + c * s
-    result = StructuredVector(w, None, out)
+    result = _checked_vector(w, {}, out)
     if result.b and all(w.tree.child_count(u) is not None for u in result.b):
         return expand(result)
     return result
@@ -286,7 +300,7 @@ def aluthge_basis_action(w: WeightSystem, t: float, u) -> Union[StructuredVector
     verdict = basis_domain_verdict(w, u, mu)
     if not verdict.is_in:
         return verdict
-    return StructuredVector(mu, None, {u: mu.node_norm(u)})  # zero at a zero norm
+    return _checked_vector(mu, {}, {u: mu.node_norm(u)})  # zero at a zero norm
 
 
 def adjoint_aluthge_basis_action(w: WeightSystem, t: float, v) -> StructuredVector:
@@ -325,7 +339,7 @@ def adjoint_aluthge_basis_action(w: WeightSystem, t: float, v) -> StructuredVect
         / mu_parent
         * grand_norm
     )
-    return StructuredVector(w, None, {grand: coeff})
+    return _checked_vector(w, {}, {grand: coeff})
 
 
 def domain_check(w: WeightSystem, f: StructuredVector, t: Optional[float] = None) -> DomainVerdict:

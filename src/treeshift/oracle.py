@@ -1,15 +1,16 @@
 """Independent dense-matrix ground truth on finite trees.
 
-Everything here goes through numpy's SVD rather than the symbolic weight
-formulas, so the two routes can be compared entry by entry.  The polar
-factors reuse one thin decomposition T = L Σ R*, taken of T's block of
-nonzero rows and columns (found from the matrix alone; a shift has one
-nonzero per row and a zero column at each leaf) and kept at the rank r of
-the singular values above the cutoff: L and R are n x r, zero off the
-block, and U = L R*.  The positive part and all its fractional powers come
-from the right singular vectors.  The factors keep U in the right singular
-basis, R*UR = R*L, and form U and P only when read, so each transform
-P^t U P^(1-t) = R Σ^t (R*UR) Σ^(1-t) R* costs two n x r x n products.
+Everything here goes through numpy's SVD and eigenvalue routines rather
+than the symbolic weight formulas, so the two routes can be compared entry
+by entry.  The polar factors reuse one thin decomposition T = L Σ R*, taken
+of T's block of nonzero rows and columns (found from the matrix alone; a
+shift has one nonzero per row and a zero column at each leaf) and kept at
+the rank r of the singular values above the cutoff: L and R are n x r, zero
+off the block, and U = L R*.  The positive part and all its fractional
+powers come from the right singular vectors.  The factors keep U in the
+right singular basis, R*UR = R*L, and form U and P only when read, so each
+transform P^t U P^(1-t) = R Σ^t (R*UR) Σ^(1-t) R* costs two n x r x n
+products.
 
 The dense side follows the dtype of its input: a shift whose weights all
 have zero imaginary part is assembled and decomposed in real arithmetic
@@ -19,6 +20,10 @@ so no imaginary part a formula produces can be dropped.  It expands each
 child bundle b_u once per comparison, since the bundle does not depend on
 t: a formula column is its vector's basis terms plus each bundle
 coefficient times that bundle's cached column.
+
+The hyponormality defect, the smallest eigenvalue of T*T - T T*, is taken
+block by block, over the connected blocks of that matrix's own nonzero
+pattern: for a shift on a tree, the root and each sibling group.
 """
 
 from __future__ import annotations
@@ -81,14 +86,18 @@ def assemble(w: WeightSystem, tree: Optional[DirectedTree] = None) -> DenseOpera
         raise OracleError("oracle requires a finite tree")
     order = tree.vertices()
     index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    matrix = np.zeros((n, n), dtype=np.complex128)
+    rows, cols, values = [], [], []
     for v in order:
         parent = tree.parent(v)
         if parent is not None:
-            matrix[index[v], index[parent]] = w.weight(v)
-    if not matrix.imag.any():  # real values give a real matrix, whatever their dtype
-        matrix = np.ascontiguousarray(matrix.real)
+            rows.append(index[v])
+            cols.append(index[parent])
+            values.append(w.weight(v))
+    values = np.array(values, dtype=np.complex128)
+    if not values.imag.any():  # real values give a real matrix, whatever their dtype
+        values = values.real
+    matrix = np.zeros((len(order), len(order)), dtype=values.dtype)
+    matrix[rows, cols] = values
     return DenseOperator(matrix, order, index)
 
 
@@ -145,8 +154,8 @@ def left_psd_power(factors: PolarFactors, exponent: float) -> np.ndarray:
     """(T T*)^(exponent/2) i.e. |T*|^exponent, from the left singular vectors."""
     if exponent == 0:
         return np.eye(factors.left.shape[0], dtype=factors.left.dtype)
-    powered = factors.singular_values ** exponent
-    return (factors.left * powered) @ factors.left.conj().T
+    half = factors.left * factors.singular_values ** (exponent / 2)
+    return half @ half.conj().T  # real: one symmetric rank-r update
 
 
 def matrix_aluthge(matrix: np.ndarray, t: float) -> np.ndarray:
@@ -169,19 +178,61 @@ def projection_sum_matrix(w: WeightSystem, dense: DenseOperator, alpha: float) -
 
     Each active vertex contributes norm^alpha times the rank-one projection
     onto its shift image; with the active vertices' shift columns as M and
-    their node norms as s, that is the single product M diag(s^(alpha-2)) M*.
+    their node norms as s, that is the single product X X* with
+    X = M diag(s^(alpha/2 - 1)).
     Vertices of zero norm are left out, not scaled by 0.
     """
     norms = np.array([w.node_norm(u) for u in dense.order], dtype=np.float64)
     active = norms != 0.0
-    columns = dense.matrix[:, active]
-    return (columns * norms[active] ** (alpha - 2)) @ columns.conj().T
+    half = dense.matrix[:, active]  # a copy, scaled in place
+    half *= norms[active] ** (alpha / 2 - 1)
+    return half @ half.conj().T
 
 
 def dense_hyponormal_defect(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of T*T - T T*; nonnegative means hyponormal."""
-    h = matrix.conj().T @ matrix - matrix @ matrix.conj().T
-    return float(np.linalg.eigvalsh(h)[0])
+    """Smallest eigenvalue of h = T*T - T T*; nonnegative means hyponormal.
+
+    With C the k nonzero columns of T, h is C*C on those columns minus C C*,
+    two n x k products, in an order that puts those columns first.  Its
+    spectrum is that of its connected blocks, found from its own nonzero
+    pattern (for a shift, T*T is diagonal and T T* couples only siblings).
+    A 1 x 1 block is its diagonal entry; the larger blocks of each size go
+    through one batched ``eigvalsh``, unpadded, so they hold at most h's
+    memory.
+    """
+    nonzero = matrix.any(axis=0)
+    cols = np.flatnonzero(nonzero)
+    c = matrix[np.ix_(np.concatenate((cols, np.flatnonzero(~nonzero))), cols)]
+    h = c @ c.conj().T  # real: one symmetric rank-k update, as below
+    np.negative(h, out=h)
+    h[: cols.size, : cols.size] += c.conj().T @ c
+    labels = _components(h != 0)  # a block's label is its smallest index
+    size_of = np.bincount(labels)[labels]  # each index's block size
+    order = np.argsort(size_of * labels.size + labels, kind="stable")  # by size, block, index
+    counts = np.bincount(size_of)  # counts[s]: indices in blocks of size s
+    ends = np.cumsum(counts)
+    lowest = float(h.diagonal().real[size_of == 1].min(initial=math.inf))
+    for size in np.flatnonzero(counts[2:]) + 2:
+        members = order[ends[size - 1]:ends[size]].reshape(-1, size)
+        blocks = h[members[:, :, None], members[:, None, :]]
+        lowest = min(lowest, float(np.linalg.eigvalsh(blocks)[:, 0].min()))
+    return lowest
+
+
+def _components(linked: np.ndarray) -> np.ndarray:
+    """The smallest index connected to each index, where i and j are linked
+    when ``linked[i, j]`` or ``linked[j, i]``."""
+    linked = linked | linked.T
+    np.fill_diagonal(linked, True)
+    labels = linked.argmax(axis=1)  # the first linked index, at most the index itself
+    while True:
+        # Each label stays an index of the same block and only falls, so a
+        # fixed point has one label per block: its smallest index.
+        lowered = np.where(linked, labels, labels.size).min(axis=1)
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, labels):
+            return labels
+        labels = lowered
 
 
 @dataclass
@@ -234,8 +285,13 @@ def dense_vector(vec: StructuredVector, dense: DenseOperator) -> np.ndarray:
     return out
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+def _discrepancy(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b|, taken in the buffer of the operand whose dtype holds the
+    difference; both operands are the caller's to overwrite."""
+    out = a if a.dtype == np.result_type(a, b) else b
+    np.subtract(a, b, out=out)
+    np.abs(out, out=out)
+    return float(out.real.max())
 
 
 def compare_with_formula(
@@ -258,48 +314,46 @@ def compare_with_formula(
     dense = assemble(w, tree)
     factors = polar(dense.matrix)
     report = ComparisonReport(n=dense.n)
-
-    pi_matrix = assemble(polar_weights(w)).matrix
-    report.polar_factor = _max_abs(factors.u_factor - pi_matrix)
-
+    # Each discrepancy is taken in a buffer of one of its operands, and no
+    # operand or factorization outlives its comparisons, so few n x n arrays
+    # are alive at once.
+    report.polar_factor = _discrepancy(factors.u_factor, assemble(polar_weights(w)).matrix)
     for t in t_values:
-        direct = _transform(factors, t)
-        mu_matrix = assemble(aluthge_weights(w, t)).matrix
-        report.aluthge[t] = _max_abs(direct - mu_matrix)
-
+        report.aluthge[t] = _discrepancy(_transform(factors, t), assemble(aluthge_weights(w, t)).matrix)
     for alpha in _ALPHAS:
-        oracle_side = left_psd_power(factors, alpha)
-        formula_side = projection_sum_matrix(w, dense, alpha)
-        report.adjoint_modulus[alpha] = _max_abs(oracle_side - formula_side)
+        report.adjoint_modulus[alpha] = _discrepancy(
+            left_psd_power(factors, alpha), projection_sum_matrix(w, dense, alpha)
+        )
+    del factors
+    report.dense_defect = dense_hyponormal_defect(dense.matrix)
+    report.hyponormal_dense = report.dense_defect >= -_HYPONORMAL_TOL
 
     adjoint_factors = polar(dense.matrix.conj().T)
     bundles = {}  # vertex u -> dense column of the bundle b_u; t plays no part
     for t in t_values:
-        adjoint_transform = _transform(adjoint_factors, t)
+        # Column j of the transform is its action on the basis vector at the
+        # j-th vertex; the formula is kept transposed, one row per column.
+        adjoint_transform = _transform(adjoint_factors, t).T
         # Complex whatever the transform's dtype: no formula value loses an imaginary part.
         formula = np.zeros(adjoint_transform.shape, dtype=np.complex128)
         skipped = []
-        for v in dense.order:
+        for j, v in enumerate(dense.order):
             try:
                 formula_vec = adjoint_aluthge_basis_action(w, t, v)
             except SingularWeightError:
-                skipped.append(dense.index[v])
+                skipped.append(j)
                 continue
-            column = formula[:, dense.index[v]]
             for u, c in formula_vec.b.items():
                 if u not in bundles:
                     bundles[u] = dense_vector(bundle_vector(w, u), dense)
-                column += c * bundles[u]
+                formula[j] += c * bundles[u]
             for x, c in formula_vec.e.items():
-                column[dense.index[x]] += c
-        # Column v of the transform is its action on the basis vector at v.
-        np.subtract(adjoint_transform, formula, out=formula)
-        formula[:, skipped] = 0.0
+                formula[j, dense.index[x]] += c
+        adjoint_transform[skipped] = 0.0
         report.skipped_singular += len(skipped)
-        report.adjoint_aluthge[t] = _max_abs(formula)
+        report.adjoint_aluthge[t] = _discrepancy(adjoint_transform, formula)
+        del adjoint_transform, formula  # before the next t allocates its own
 
-    report.dense_defect = dense_hyponormal_defect(dense.matrix)
-    report.hyponormal_dense = report.dense_defect >= -_HYPONORMAL_TOL
     report.hyponormal_formula = check_hyponormal(w).verdict == "hyponormal"
     return report
 

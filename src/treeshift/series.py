@@ -75,18 +75,18 @@ class PartialSumExceeds:
 DivergenceCertificate = Union[TermsDoNotVanish, EventuallyIncreasing, PartialSumExceeds]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Converges:
     value: float
     tail_bound: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diverges:
     certificate: DivergenceCertificate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inconclusive:
     partial_sum: float
     terms_evaluated: int
@@ -274,11 +274,11 @@ def closed_form_aggregate(growth: float) -> Diverges:
     """Divergence verdict for the sum over n >= 0 of growth^n / (n + 1)^2.
 
     Needs growth > 1.  Consecutive terms grow by growth * ((n+1)/(n+2))^2,
-    which exceeds 1 from some index on; the divergence certificate carries
-    that index and ratio, which may lie within the float slack of 1; then
-    ``verify_certificate`` refuses to check it.  The verdict is frozen and
-    depends on ``growth`` alone, so it is cached; a refusal is raised again
-    on every call.
+    which exceeds 1 from some index on; the divergence certificate starts at
+    the first index whose ratio ``verify_certificate`` can confirm, one above
+    1 + 1e-9.  A later start with a larger ratio proves the same divergence.
+    The verdict is frozen and depends on ``growth`` alone, so it is cached;
+    a refusal is raised again on every call.
     """
     if not growth > 1.0:
         raise ValueError(f"no divergence certificate for growth {growth}; it must exceed 1")
@@ -286,14 +286,18 @@ def closed_form_aggregate(growth: float) -> Diverges:
     def ratio(n: int) -> float:
         return growth * ((n + 1) / (n + 2)) ** 2
 
-    # The rounded ratio never decreases in n, so the start is the first n
-    # with ratio(n) > 1.  It lies near 1/(sqrt(growth) - 1) - 1; step from
-    # there.  Checking the last admissible index first keeps the guess finite.
-    if not ratio(_MAX_START) > 1.0:
+    def checkable(n: int) -> bool:
+        return ratio(n) * (1 - _REL_SLACK) > 1.0
+
+    # The rounded ratio never decreases in n, so the start is the first
+    # checkable n.  It lies near 1/(sqrt(growth (1 - slack)) - 1) - 1; step
+    # from there.  Checking the last admissible index first keeps the guess
+    # finite.
+    if not checkable(_MAX_START):
         raise ArithmeticError("no increasing index found; growth too close to 1")
-    n = min(max(int(1.0 / (math.sqrt(growth) - 1.0)) - 1, 0), _MAX_START)
-    while n > 0 and ratio(n - 1) > 1.0:
+    n = min(max(int(1.0 / (math.sqrt(growth * (1 - _REL_SLACK)) - 1.0)) - 1, 0), _MAX_START)
+    while n > 0 and checkable(n - 1):
         n -= 1
-    while not ratio(n) > 1.0:
+    while not checkable(n):
         n += 1
     return Diverges(EventuallyIncreasing(n, ratio(n)))

@@ -59,6 +59,7 @@ class WeightSystem:
         self.tree = tree
         self.policy = policy
         self._aggregates: dict = {}
+        self._norms: dict = {}  # the square roots of the cached convergent aggregates
 
     def weight(self, v) -> complex:
         raise NotImplementedError
@@ -68,6 +69,14 @@ class WeightSystem:
         tree.require_vertex(v)
         if tree.root is not None and v == tree.root:
             raise EvaluationError("weights are defined on non-root vertices only", vertex=v)
+
+    def _parent_of(self, v):
+        """The parent of ``v``, refused as ``_require_non_root`` refuses it;
+        the parent lookup is the vertex check."""
+        parent = self.tree.parent(v)
+        if parent is None:
+            raise EvaluationError("weights are defined on non-root vertices only", vertex=v)
+        return parent
 
     def _closed_form(self, u) -> Optional[series.SeriesVerdict]:
         return None
@@ -94,7 +103,8 @@ class WeightSystem:
         """Verdict for the sum of squared child weights at ``u``.
 
         Closed forms cost O(1) and are recomputed on every call; only exact
-        finite sums and series verdicts are cached.
+        finite sums and series verdicts are cached, each convergent one with
+        its square root, which ``node_norm`` reads.
         """
         cached = self._aggregates.get(u)
         if cached is not None:
@@ -104,6 +114,8 @@ class WeightSystem:
             return closed
         verdict = self._summed_aggregate(u)
         self._aggregates[u] = verdict
+        if isinstance(verdict, series.Converges):
+            self._norms[u] = math.sqrt(verdict.value)
         return verdict
 
     def _summed_aggregate(self, u) -> series.SeriesVerdict:
@@ -129,6 +141,9 @@ class WeightSystem:
         """Norm of the shift at the basis vector of ``u``: the square root of
         the aggregate, ``inf`` when it diverges, ``nan`` when its verdict is
         inconclusive.  The verdict and its certificate are ``aggregate(u)``."""
+        norm = self._norms.get(u)
+        if norm is not None:
+            return norm
         verdict = self.aggregate(u)
         if isinstance(verdict, series.Converges):
             return math.sqrt(verdict.value)
@@ -293,8 +308,7 @@ class PolarWeights(WeightSystem):
         self.base = base
 
     def weight(self, v) -> complex:
-        self._require_non_root(v)
-        s = self.base.finite_norm(self.tree.parent(v), vertex=v)
+        s = self.base.finite_norm(self._parent_of(v), vertex=v)
         if s == 0.0:
             return 0j
         return complex(self.base.weight(v)) / s
@@ -323,8 +337,7 @@ class AluthgeWeights(WeightSystem):
         self._checked: set = set()  # ratio certificates passed on the unit stream
 
     def weight(self, v) -> complex:
-        self._require_non_root(v)
-        parent_norm = self.base.finite_norm(self.tree.parent(v), vertex=v)
+        parent_norm = self.base.finite_norm(self._parent_of(v), vertex=v)
         child_norm, weight = self.base.finite_norm(v), self.base.weight(v)
         if parent_norm == 0.0:
             return 0j

@@ -197,6 +197,16 @@ class OverclaimedWeights(OmegaShiftWeights):
         return Diverges(EventuallyIncreasing(start, 4.0**t * ((start + 2) / (start + 3)) ** 2))
 
 
+class InsideSlackWeights(OmegaShiftWeights):
+    """The built-in family with its transform's ratio claim moved to the
+    first index whose ratio exceeds 1, before the check can confirm it."""
+
+    def _aluthge_closed_form(self, u, t):
+        growth = 4.0**t
+        start = next(n for n in itertools.count() if growth * ((n + 1) / (n + 2)) ** 2 > 1.0)
+        return Diverges(EventuallyIncreasing(start, growth * ((start + 1) / (start + 2)) ** 2))
+
+
 class TestTrivialityWork:
     # Deterministic work of the certificate check on the descendant window of
     # 21 vertices with 7 distinct digit sums: one transform reads the family's
@@ -365,9 +375,12 @@ class TestClaimCheckedWhereTakenIn:
 
     @pytest.mark.parametrize("caller", sorted(CALLERS))
     def test_ratio_inside_the_float_slack_is_refused(self, caller):
-        # 4^(4e-5) puts the claimed ratio 1.0000000001906053 inside the slack
+        # The family's own claim at 4^(4e-5) starts where the check can
+        # confirm it; one claiming the first rising index's ratio,
+        # 1.0000000001906053, inside the slack, is refused.
+        assert self.CALLERS[caller](OmegaShiftWeights(), 4e-5, OmegaVertex(0)).is_out
         with pytest.raises(ArithmeticError, match="within the float slack of 1"):
-            self.CALLERS[caller](OmegaShiftWeights(), 4e-5, OmegaVertex(0))
+            self.CALLERS[caller](InsideSlackWeights(), 4e-5, OmegaVertex(0))
 
     @pytest.mark.parametrize("caller", sorted(CALLERS))
     def test_overclaimed_ratio_is_refused(self, caller):

@@ -290,10 +290,6 @@ FAMILY_DOCS = {
     "paper": {"family": "paper"},
     "descendant": {"family": "descendant", "apex": {"level": 0, "digits": [2]}},
 }
-SLACK_REASON = (
-    "numerical failure: claimed ratio 1.0000000001906053 lies within the float slack of 1; "
-    "no float check can confirm it\n"
-)
 START_CAP_REASON = "numerical failure: no increasing index found; growth too close to 1\n"
 # 1e-300 ** v raises OverflowError for v <= -2 rather than giving inf; -6 is
 # the first such vertex the command reads.  |1e300|^2 leaves the double range,
@@ -314,8 +310,10 @@ class TestNumericalFailures:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["analyze", "{paper}", "--t", "4e-5"], SLACK_REASON),
-            (["analyze", "{descendant}", "--t", "4e-5"], SLACK_REASON),
+            # just below the start cap, near t = 1.45e-7: no index up to 10**7
+            # has a ratio the check can confirm
+            (["analyze", "{paper}", "--t", "1.4e-7"], START_CAP_REASON),
+            (["analyze", "{descendant}", "--t", "1.4e-7"], START_CAP_REASON),
             (["analyze", "{paper}", "--t", "1e-8"], START_CAP_REASON),
             (["analyze", "{descendant}", "--t", "1e-8"], START_CAP_REASON),
             (
@@ -370,14 +368,16 @@ class TestNumericalFailures:
             assert err == "numerical failure: squared-weight sum at 0 overflows\n"
 
     def test_witness_ratio_inside_the_float_slack(self, capsys):
-        # the claim's ratio at its start, 1 + 1.9e-10, cannot be checked
+        # the ratio at the first rising index, 1 + 1.9e-10, cannot be checked,
+        # so the claim starts later, at the first ratio the check confirms
         code, report, err = run(capsys, ["witness", "--t", "0.99996", "--K", "5"])
-        assert code == 3
-        assert report is None
-        assert err == (
-            "numerical failure: claimed ratio 1.0000000001906053 lies within the float "
-            "slack of 1; no float check can confirm it\n"
-        )
+        assert code == 0
+        assert report["growth_certificate"] == {
+            "heuristic": False,
+            "kind": "eventually-increasing",
+            "ratio": 1.0000000017280017,
+            "start": 36067,
+        }
 
     def test_witness_growth_too_close_to_one(self, capsys):
         # 4^(1-t) is so close to 1 that the certificate would start past 10**7
@@ -391,7 +391,11 @@ class TestFamilyAtSmallT:
     # The transform's ratio claim is checked on the family's stream in units
     # of 4^S(u), whose terms stay finite however late the claim starts; the
     # t below the checkable range are in ``TestNumericalFailures``.
-    @pytest.mark.parametrize("t", ["0.003", "0.002", "0.001", "1e-4"])
+    # 0.0011222833119529131 and 4e-5 are where the first rising index's
+    # ratio lies inside the check's slack, and 1.5e-7 is just above the cap.
+    @pytest.mark.parametrize(
+        "t", ["0.003", "0.002", "0.001", "1e-4", "0.0011222833119529131", "4e-5", "1.5e-7"]
+    )
     @pytest.mark.parametrize("family", sorted(FAMILY_DOCS))
     def test_certified_family(self, tmp_path, capsys, family, t):
         path = write(tmp_path, "tree.json", FAMILY_DOCS[family])

@@ -427,10 +427,16 @@ def test_eager_import_check_flags_planted_imports():
 
 
 # The benchmark's tracer counts ``oracle.polar`` calls as SVDs, so no other
-# function may decompose: an SVD anywhere else would run uncounted.
-def svd_sites(source: str) -> list:
-    """Each use of an ``svd`` attribute (``np.linalg.svd``, ``la.svd``) or
-    import of an ``svd`` name, as ``function (line N)``; ``<module>`` at top level."""
+# function may decompose: an SVD anywhere else would run uncounted.  Likewise
+# ``oracle.dense_hyponormal_defect`` is the one eigen-solver site, so no
+# other function can take the full n x n eigenvalue route it replaced.
+EIGEN_SOLVERS = ("eigvalsh", "eigh", "eig", "eigvals")
+
+
+def named_sites(source: str, names) -> list:
+    """Each use of an attribute in ``names`` (``np.linalg.svd``, ``la.eigh``)
+    or import of such a name, as ``function (line N)``; ``<module>`` at top
+    level."""
     found = []
 
     def visit(node, scope):
@@ -438,8 +444,8 @@ def svd_sites(source: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "svd") or (
-                isinstance(child, ast.ImportFrom) and any(a.name == "svd" for a in child.names)
+            if (isinstance(child, ast.Attribute) and child.attr in names) or (
+                isinstance(child, ast.ImportFrom) and any(a.name in names for a in child.names)
             ):
                 found.append(f"{scope or '<module>'} (line {child.lineno})")
             visit(child, scope)
@@ -448,29 +454,53 @@ def svd_sites(source: str) -> list:
     return sorted(found)
 
 
-def test_polar_is_the_only_svd_site():
-    sites = [
+def svd_sites(source: str) -> list:
+    return named_sites(source, ("svd",))
+
+
+def package_sites(names) -> list:
+    return [
         f"{path.name}: {site.split(' (')[0]}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for site in svd_sites(path.read_text(encoding="utf-8"))
+        for site in named_sites(path.read_text(encoding="utf-8"), names)
     ]
-    assert sites == ["oracle.py: polar"]
+
+
+def test_polar_is_the_only_svd_site():
+    assert package_sites(("svd",)) == ["oracle.py: polar"]
+
+
+def test_defect_is_the_only_eigen_solver_site():
+    assert package_sites(EIGEN_SOLVERS) == ["oracle.py: dense_hyponormal_defect"]
+
+
+PLANTED_DECOMPOSITIONS = (
+    "import numpy as np\n"
+    "import scipy.linalg as la\n"
+    "from numpy.linalg import eigh, svd\n\n\n"
+    "def polar(m):\n    return np.linalg.svd(m)\n\n\n"
+    "class Oracle:\n    def rank(self, m):\n        return la.svd(m, compute_uv=False)\n\n\n"
+    "def decompose(m):\n    return np.linalg.eigh(m), np.linalg.svd(m, full_matrices=False)\n\n\n"
+    "def spectrum(m):\n    return np.linalg.eigvals(m), la.eig(m), np.linalg.eigvalsh(m)\n"
+)
 
 
 def test_svd_site_check_flags_planted_uses():
-    source = (
-        "import numpy as np\n"
-        "import scipy.linalg as la\n"
-        "from numpy.linalg import eigh, svd\n\n\n"
-        "def polar(m):\n    return np.linalg.svd(m)\n\n\n"
-        "class Oracle:\n    def rank(self, m):\n        return la.svd(m, compute_uv=False)\n\n\n"
-        "def decompose(m):\n    return np.linalg.eigh(m), np.linalg.svd(m, full_matrices=False)\n"
-    )
-    assert svd_sites(source) == [
+    assert svd_sites(PLANTED_DECOMPOSITIONS) == [
         "<module> (line 3)",
         "Oracle.rank (line 12)",
         "decompose (line 16)",
         "polar (line 7)",
+    ]
+
+
+def test_eigen_solver_site_check_flags_planted_uses():
+    assert named_sites(PLANTED_DECOMPOSITIONS, EIGEN_SOLVERS) == [
+        "<module> (line 3)",
+        "decompose (line 16)",
+        "spectrum (line 20)",
+        "spectrum (line 20)",
+        "spectrum (line 20)",
     ]
 
 

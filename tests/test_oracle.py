@@ -497,6 +497,88 @@ class TestBlockRoute:
                     assert got[key] == value, key
 
 
+def _full_eigvalsh_defect(matrix):
+    """The full route the defect took before it went block by block: both
+    n x n products and one ``eigvalsh`` of all of T*T - T T*."""
+    h = matrix.conj().T @ matrix - matrix @ matrix.conj().T
+    return float(np.linalg.eigvalsh(h)[0])
+
+
+class TestBlockedDefect:
+    @staticmethod
+    def _agrees(matrix):
+        want = _full_eigvalsh_defect(matrix)
+        scale = max(1.0, float(np.max(np.abs(matrix.conj().T @ matrix - matrix @ matrix.conj().T))))
+        got = dense_hyponormal_defect(matrix)
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-13 * scale, (got, want)
+        return got
+
+    def test_corpus_and_large_trees(self):
+        for tree, w in random_tree_corpus(200, 42, complex_count=20):
+            self._agrees(assemble(w, tree).matrix)
+        for tree, w in _large_trees([120, 156, 192, 228, 264, 300], seed=11):
+            self._agrees(assemble(w, tree).matrix)
+
+    def test_blocks_are_sibling_groups(self, monkeypatch):
+        # a 300-vertex tree: eigvalsh only sees stacks of blocks no larger
+        # than the largest sibling group, never the whole matrix
+        (tree, w), = _large_trees([300], seed=5)
+        shapes = []
+        real = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        self._agrees(assemble(w, tree).matrix)
+        widest = max(tree.child_count(u) for u in tree.vertices())
+        assert shapes[0] == (300, 300)  # the reference's own call
+        blocked = shapes[1:]
+        assert len(blocked) == len({shape[-1] for shape in blocked})  # one batch per size
+        assert all(2 <= shape[-1] <= widest for shape in blocked)
+
+    def test_zero_and_one_by_one(self):
+        for matrix in (np.zeros((5, 5)), np.zeros((1, 1)), np.array([[2.5]]), np.array([[1j]])):
+            assert self._agrees(matrix) == 0.0
+
+    def test_dense_non_shift_is_one_block(self):
+        rng = np.random.default_rng(7)
+        self._agrees(rng.standard_normal((40, 40)))
+        self._agrees(rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)))
+
+    def test_complex_shift(self):
+        tree, w = path_weights([1.5j, 0.5 - 2j, 3.0])
+        matrix = assemble(w, tree).matrix
+        assert matrix.dtype == np.complex128
+        assert self._agrees(matrix) < -1e-9
+
+    def test_entries_that_cancel_to_zero(self):
+        # (T*T)[1, 2] = (T T*)[1, 2] = 2, so h[1, 2] is exactly 0 in a
+        # connected 4 x 4 h
+        connected = np.array([[2, 1, 0, 0], [0, 0, -1, 1], [-2, 0, -1, 1], [1, 1, 2, 2]], dtype=float)
+        h = connected.T @ connected - connected @ connected.T
+        assert h[1, 2] == 0.0 and (connected.T @ connected)[1, 2] != 0.0
+        self._agrees(connected)
+        # a symmetric 2 x 2 beside a shift edge: every entry of h on the
+        # symmetric block cancels, so it splits into 1 x 1 blocks of 0
+        split = np.zeros((4, 4))
+        split[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+        split[3, 2] = 3.0
+        assert self._agrees(split) == -9.0
+        # a path whose two weights are equal: the middle vertex's diagonal
+        # entry cancels
+        tree, w = path_weights([2.0, 2.0])
+        assert self._agrees(assemble(w, tree).matrix) == -4.0
+
+    def test_violating_instances_still_caught(self):
+        for tree, w, leaf in violating_instances(50, seed=23):
+            matrix = assemble(w, tree).matrix
+            assert dense_hyponormal_defect(matrix) < -1e-9
+            assert _full_eigvalsh_defect(matrix) < -1e-9
+
+
 class TestBundleCache:
     T_VALUES = (0.1, 0.5, 0.9, 1.0)
 

@@ -49,11 +49,16 @@ def independent_zeta2(extra_terms=20_000_000):
     return float(np.sum(ns)) + 1.0 / (extra_terms + 0.5)
 
 
+def checkable(growth, n):
+    # verify_certificate confirms a ratio claim only above the 1e-9 slack
+    return growth * ((n + 1) / (n + 2)) ** 2 * (1 - 1e-9) > 1.0
+
+
 def linear_search_start(growth):
-    # The O(start) search closed_form_aggregate used to run; the reference
-    # for its O(1) start.
+    # The first index whose ratio the check can confirm, by an O(start)
+    # search; the reference for closed_form_aggregate's O(1) start.
     n = 0
-    while growth * ((n + 1) / (n + 2)) ** 2 <= 1.0:
+    while not checkable(growth, n):
         n += 1
         if n > 10**7:
             raise ArithmeticError("no increasing index found; growth too close to 1")
@@ -310,8 +315,14 @@ class TestUncheckableRatio:
     # A ratio claim is checked as term >= prev * ratio * (1 - 1e-9), so a
     # claim whose slackened ratio is not above 1 lets a shrinking stream pass.
     def test_claim_inside_the_slack_refused_before_any_term(self):
-        cert = closed_form_aggregate(4.0**1e-6).certificate
-        assert cert == EventuallyIncreasing(1442694, 1.0000000000004412)
+        # The first index whose ratio exceeds 1 for growth 4^(1e-6), built by
+        # hand: closed_form_aggregate starts 1,041 indices later, where the
+        # check can confirm the ratio.
+        cert = EventuallyIncreasing(1442694, 4.0**1e-6 * (1442695 / 1442696) ** 2)
+        assert cert.ratio == 1.0000000000004412
+        assert closed_form_aggregate(4.0**1e-6).certificate == EventuallyIncreasing(
+            1443735, 1.0000000010000225
+        )
         shrinking = (0.5 * (1 - 1e-10) ** k for k in itertools.count())
         with pytest.raises(ArithmeticError, match="within the float slack of 1"):
             verify_certificate(cert, shrinking, 48, first=cert.start)
@@ -391,15 +402,18 @@ class TestClosedForms:
 
     def test_start_matches_linear_search(self):
         growths = [4.0**t for t in np.logspace(-4, 0, 300)]
-        # growths where 1/(sqrt(g) - 1) lands on an integer, and their
-        # neighbouring doubles, are where a rounded guess is off by one
+        # growths where 1/(sqrt(g (1 - 1e-9)) - 1) lands on an integer, and
+        # their neighbouring doubles, are where a rounded guess is off by
+        # one; those where 1/(sqrt(g) - 1) does are where the first rising
+        # index and the first checkable one part
         for m in range(0, 2000, 11):
-            g = ((m + 2) / (m + 1)) ** 2
-            for _ in range(3):
-                g = math.nextafter(g, 0.0)
-            for _ in range(7):
-                growths.append(g)
-                g = math.nextafter(g, math.inf)
+            for edge in (((m + 2) / (m + 1)) ** 2 / (1 - 1e-9), ((m + 2) / (m + 1)) ** 2):
+                g = edge
+                for _ in range(3):
+                    g = math.nextafter(g, 0.0)
+                for _ in range(7):
+                    growths.append(g)
+                    g = math.nextafter(g, math.inf)
         growths += [1.5, 2.0, 4.0, 1e3, 1e300, math.inf]
         for g in growths:
             start = linear_search_start(g)
@@ -410,11 +424,9 @@ class TestClosedForms:
     def test_start_at_the_index_limit(self):
         # The first growths whose start is 10**7 and 10**7 + 1: the first is
         # reported, the second is refused, as by the linear search.
-        def rises(g, n):
-            return g * ((n + 1) / (n + 2)) ** 2 > 1.0
-
+        rises = checkable
         limit = 10**7
-        g = ((limit + 2) / (limit + 1)) ** 2
+        g = ((limit + 2) / (limit + 1)) ** 2 / (1 - 1e-9)
         while rises(g, limit):
             g = math.nextafter(g, 0.0)
         while not rises(g, limit + 1):
@@ -428,10 +440,14 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("t", [1e-5, 1e-6, 2e-7])
     def test_start_is_first_rising_index(self, t):
+        # rising as far as the check can confirm: the first index whose
+        # ratio clears the 1e-9 slack, and the certificate passes its check
         growth = 4.0**t
-        start = closed_form_aggregate(growth).certificate.start
-        assert growth * ((start + 1) / (start + 2)) ** 2 > 1.0
-        assert not growth * (start / (start + 1)) ** 2 > 1.0
+        cert = closed_form_aggregate(growth).certificate
+        assert checkable(growth, cert.start)
+        assert not checkable(growth, cert.start - 1)
+        unit = (4.0 ** (t * n) / (n + 1) ** 2 for n in itertools.count(cert.start))
+        verify_certificate(cert, unit, 48, first=cert.start)
 
     def test_truncations_increase_to_closed_form(self):
         # partial sums of the base aggregate are monotone below the closed form

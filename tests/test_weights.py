@@ -5,6 +5,7 @@ import pytest
 
 from treeshift.analysis import check_densely_defined, check_hyponormal
 from treeshift.errors import EvaluationError, StructureError
+from treeshift.operators import StructuredVector
 from treeshift.series import (
     Converges,
     Diverges,
@@ -379,3 +380,59 @@ class TestUndeterminedNorm:
             next(mu.child_terms(0))
         assert by_weight.value.vertex == by_stream.value.vertex == 1
         assert isinstance(mu.aggregate(0), Inconclusive)
+
+
+class TestWeightReadErrors:
+    # A weight read checks its vertex once, through the parent lookup in the
+    # derived systems; each refusal keeps its type, message and vertex.
+    SYSTEMS = {
+        "table": lambda base: base,
+        "polar": polar_weights,
+        "aluthge": lambda base: aluthge_weights(base, 0.5),
+    }
+
+    @staticmethod
+    def _bases():
+        tree = finite_tree([None, 0, 0, 1])
+        table = TableWeights(tree, {1: 2.0, 2: 0.5, 3: 0.0})  # vertex 1 has norm 0
+        partial = TableWeights(nat_path(), {1: 1.0, 2: 3.0})  # no weight at 3
+        return {"table": table, "partial": partial, "star": star_with_unit_weights()}
+
+    ROOT = (EvaluationError, "weights are defined on non-root vertices only", 0)
+    OUTSIDE = (StructureError, "vertex 7 is not in this tree", None)
+    MISSING = (EvaluationError, "no weight stored for vertex 3", 3)
+    INFINITE = (EvaluationError, "node norm at 0 is infinite", 1)
+    CASES = [
+        ("table", "table", 0, ROOT),
+        ("table", "table", 7, OUTSIDE),
+        ("table", "partial", 3, MISSING),
+        ("polar", "table", 0, ROOT),
+        ("polar", "table", 7, OUTSIDE),
+        ("polar", "partial", 3, MISSING),
+        ("polar", "star", 1, INFINITE),
+        ("aluthge", "table", 0, ROOT),
+        ("aluthge", "table", 7, OUTSIDE),
+        ("aluthge", "partial", 3, MISSING),
+        ("aluthge", "partial", 2, MISSING),  # the child's own norm reads weight 3
+        ("aluthge", "star", 1, INFINITE),
+    ]
+
+    @pytest.mark.parametrize("system, base, v, expected", CASES)
+    def test_refusal(self, system, base, v, expected):
+        kind, message, vertex = expected
+        w = self.SYSTEMS[system](self._bases()[base])
+        with pytest.raises(kind, match=f"^{message}$") as caught:
+            w.weight(v)
+        assert type(caught.value) is kind
+        assert getattr(caught.value, "vertex", None) == vertex
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_zero_parent_norm_gives_zero(self, system):
+        assert self.SYSTEMS[system](self._bases()["table"]).weight(3) == 0j
+
+    @pytest.mark.parametrize("u, norm", [(1, 0.0), (0, math.inf), (2, 0.0)])
+    def test_outside_vector_refuses_a_bundle_without_finite_positive_norm(self, u, norm):
+        base = self._bases()["star" if norm == math.inf else "table"]
+        assert base.node_norm(u) == norm
+        with pytest.raises(EvaluationError, match=f"^bundle at {u} needs a finite positive node norm$"):
+            StructuredVector(base, {u: 1.0}, {u: 2.0})
