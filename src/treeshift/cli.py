@@ -36,6 +36,7 @@ from .weights import CallableWeights, OmegaShiftWeights, TableWeights, aluthge_w
 
 ORACLE_TOLERANCE = 1e-8
 _MAX_RANDOM = 10_000  # trees ``oracle --random`` builds before its first comparison
+_MAX_ORACLE_VERTICES = 4_000  # a complex tree of this size peaks near 1.3 GB, growing as n^2
 
 
 class ParseError(TreeShiftError):
@@ -429,6 +430,9 @@ def cmd_oracle(args) -> int:
         weights, meta = load_tree_spec(args.file)
         if not weights.tree.is_finite:
             raise ParseError("oracle requires a finite tree")
+        count = len(weights.tree.vertices())
+        if count > _MAX_ORACLE_VERTICES:
+            raise ParseError(f"oracle takes a tree of at most {_MAX_ORACLE_VERTICES:,} vertices, got {count:,}")
         instances = [(weights.tree, weights)]
         source = {"file": meta["doc"]}
 

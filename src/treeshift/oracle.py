@@ -1,16 +1,20 @@
 """Independent dense-matrix ground truth on finite trees.
 
-Everything here goes through numpy's SVD and eigenvalue routines rather
-than the symbolic weight formulas, so the two routes can be compared entry
-by entry.  The polar factors reuse one thin decomposition T = L Σ R*, taken
-of T's block of nonzero rows and columns (found from the matrix alone; a
-shift has one nonzero per row and a zero column at each leaf) and kept at
-the rank r of the singular values above the cutoff: L and R are n x r, zero
-off the block, and U = L R*.  The positive part and all its fractional
-powers come from the right singular vectors.  The factors keep U in the
-right singular basis, R*UR = R*L, and form U and P only when read, so each
-transform P^t U P^(1-t) = R Σ^t (R*UR) Σ^(1-t) R* costs two n x r x n
-products.
+Everything here works on the dense matrix alone, with numpy's SVD and
+eigenvalue routines where a block needs them, rather than the symbolic
+weight formulas, so the two routes can be compared entry by entry.  The
+polar factors reuse one thin decomposition T = L Σ R*, taken block by block
+over the connected blocks of the bipartite row-column pattern of T's
+nonzero entries (found from the matrix alone), and kept at the rank r of
+the singular values above the cutoff: L and R are n x r, zero off T's
+nonzero rows and columns, and U = L R*.  A block with one nonzero column or
+row is its norm and its normalised vector; only the other blocks go through
+the SVD.  A shift on a tree has only the first kind, since column u of T
+holds u's children and so does row u of T*: it is factored from its own
+column or row norms.  The positive part and all its fractional powers come
+from the right singular vectors.  The factors keep U in the right singular
+basis, R*UR = R*L, and form U and P only when read, so each transform
+P^t U P^(1-t) = R Σ^t (R*UR) Σ^(1-t) R* costs two n x r x n products.
 
 The dense side follows the dtype of its input: a shift whose weights all
 have zero imaginary part is assembled and decomposed in real arithmetic
@@ -103,9 +107,10 @@ def assemble(w: WeightSystem, tree: Optional[DirectedTree] = None) -> DenseOpera
 
 @dataclass
 class PolarFactors:
-    """SVD-based polar decomposition T = U P with P = (T*T)^(1/2), kept at rank r."""
+    """Polar decomposition T = U P with P = (T*T)^(1/2), from a thin singular
+    value decomposition kept at rank r."""
 
-    singular_values: np.ndarray  # the r values above the rank cutoff, largest first
+    singular_values: np.ndarray  # the r values above the rank cutoff, in block order, not sorted
     left: np.ndarray  # n x r: left singular vectors, zero off T's nonzero rows
     right: np.ndarray  # n x r: right singular vectors, zero off T's nonzero columns
     u_core: np.ndarray  # r x r, R*UR = R*L: U in the right singular basis
@@ -122,24 +127,88 @@ class PolarFactors:
 
 
 def polar(matrix: np.ndarray) -> PolarFactors:
-    """One thin SVD of the block of nonzero rows and columns, taken tall: a
-    wide block is decomposed as its conjugate transpose with the factors
-    swapped.  The exactly zero rows and columns only pad the factors."""
+    """The factors block by block, over the connected blocks of the bipartite
+    row-column pattern of the matrix's nonzero entries, found from the matrix
+    alone.
+
+    A block with one nonzero column or one nonzero row has rank one: its
+    singular value is that column's or row's norm, its singular vector on
+    that side is the column, or the conjugated row, normalised, and on the
+    other side a basis vector.  Every block of a shift on a tree is of this
+    kind, so a shift is factored from its own column or row norms, all in
+    one step.  Each shape of the other blocks gets one batched SVD.  The
+    cutoff is global: a value counts when it is above ``DEFAULT_RANK_TOL``
+    times the largest of all blocks.  The singular values come in block
+    order (the rank-one blocks by smallest column, then each shape's
+    triples), not sorted.  The exactly zero rows and columns only pad the
+    factors.
+    """
     matrix = np.asarray(matrix)
     matrix = matrix.astype(np.result_type(matrix, np.float64), copy=False)
-    rows, cols = np.flatnonzero(matrix.any(axis=1)), np.flatnonzero(matrix.any(axis=0))
-    block = matrix[np.ix_(rows, cols)]
-    wide = rows.size < cols.size
-    try:
-        a, sigma, b_h = np.linalg.svd(block.conj().T if wide else block, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise OracleError(f"SVD failed: {exc}") from exc
-    a, b_h = (b_h.conj().T, a.conj().T) if wide else (a, b_h)
-    rank = int(np.count_nonzero(sigma > DEFAULT_RANK_TOL * (sigma[0] if sigma.size else 0.0)))
-    left = np.zeros((matrix.shape[0], rank), dtype=matrix.dtype)
-    right = np.zeros((matrix.shape[1], rank), dtype=matrix.dtype)
-    left[rows], right[cols] = a[:, :rank], b_h[:rank].conj().T
-    return PolarFactors(sigma[:rank], left, right, right.conj().T @ left)
+    n = matrix.shape[0]
+    rows, cols = (matrix != 0).nonzero()
+    values = matrix[rows, cols]
+    # Columns are nodes 0..n-1 and rows n..2n-1, so a block's label is its
+    # smallest column: the one column of a one-column block.  A zero column
+    # or row is a block of its own, with no row or no column.
+    labels = _components(2 * n, cols, rows + n)
+    block = labels[cols]
+    width = np.bincount(labels[:n], minlength=2 * n)  # columns per block
+    height = np.bincount(labels[n:], minlength=2 * n)  # rows per block
+    thin = np.minimum(width, height)
+    rank_one = (thin == 1).nonzero()[0]
+    # Each block is scaled by an exact power of two that brings its largest
+    # modulus into [0.5, 1), or as near as 2**1022 brings a subnormal one, so
+    # no square under- or overflows and the normalised vectors stay exact.
+    modulus = np.abs(values)
+    top = np.zeros(2 * n)
+    np.maximum.at(top, block, modulus)
+    scale = np.ldexp(1.0, np.minimum(-np.frexp(top)[1], 1022))
+    root = np.sqrt(np.bincount(block, np.square(modulus * scale[block]), minlength=2 * n))
+    with np.errstate(over="ignore"):  # a norm past the double range is inf, as LAPACK gives it
+        norms = root / scale
+
+    # The factors' columns: one per rank-one block, in label order, then the
+    # singular triples of the other blocks, a batch per block shape.
+    sigma = [norms[rank_one]]
+    stacks = []
+    multi = (thin >= 2).nonzero()[0]
+    for h, w in sorted(set(zip(height[multi].tolist(), width[multi].tolist()))):
+        ours = (height == h) & (width == w)
+        # Each shape's blocks in label order, and each block's members in index order.
+        c, r = (np.flatnonzero(ours[side]) for side in (labels[:n], labels[n:]))
+        c = c[np.argsort(labels[c], kind="stable")].reshape(-1, w)
+        r = r[np.argsort(labels[n + r], kind="stable")].reshape(-1, h)
+        try:
+            a, s, b_h = np.linalg.svd(matrix[r[:, :, None], c[:, None, :]], full_matrices=False)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise OracleError(f"SVD failed: {exc}") from exc
+        sigma.append(s.ravel())
+        stacks.append((r, c, a, b_h.conj().transpose(0, 2, 1)))
+    sigma = np.concatenate(sigma)
+    left = np.zeros((n, sigma.size), dtype=matrix.dtype)
+    right = np.zeros(left.shape, dtype=left.dtype)
+
+    # A rank-one block's entries are its column's, or its row's, conjugated:
+    # each sets one entry of the normalised vector, beside a basis vector.
+    on = thin[block] == 1
+    block = block[on]
+    slot = rank_one.searchsorted(block)
+    unit = values[on] * scale[block] / root[block]
+    one_column = width[block] == 1
+    left[rows[on], slot] = np.where(one_column, unit, 1.0)
+    right[cols[on], slot] = np.where(one_column, 1.0, unit.conj())
+    start = rank_one.size
+    for r, c, a, b in stacks:
+        at = start + np.arange(a.shape[0] * a.shape[2]).reshape(a.shape[0], 1, -1)
+        left[r[:, :, None], at], right[c[:, :, None], at] = a, b
+        start += at.size
+
+    keep = sigma > DEFAULT_RANK_TOL * sigma.max(initial=0.0)
+    if not keep.all():
+        sigma, left, right = sigma[keep], left[:, keep], right[:, keep]
+    shared = (height[labels[:n]] > 0) & (width[labels[n:]] > 0)  # rows where both factors can be nonzero
+    return PolarFactors(sigma, left, right, right[shared].conj().T @ left[shared])
 
 
 def psd_power(factors: PolarFactors, exponent: float) -> np.ndarray:
@@ -206,7 +275,7 @@ def dense_hyponormal_defect(matrix: np.ndarray) -> float:
     h = c @ c.conj().T  # real: one symmetric rank-k update, as below
     np.negative(h, out=h)
     h[: cols.size, : cols.size] += c.conj().T @ c
-    labels = _components(h != 0)  # a block's label is its smallest index
+    labels = _components(h.shape[0], *np.nonzero(h))  # a block's label is its smallest index
     size_of = np.bincount(labels)[labels]  # each index's block size
     order = np.argsort(size_of * labels.size + labels, kind="stable")  # by size, block, index
     counts = np.bincount(size_of)  # counts[s]: indices in blocks of size s
@@ -219,20 +288,22 @@ def dense_hyponormal_defect(matrix: np.ndarray) -> float:
     return lowest
 
 
-def _components(linked: np.ndarray) -> np.ndarray:
-    """The smallest index connected to each index, where i and j are linked
-    when ``linked[i, j]`` or ``linked[j, i]``."""
-    linked = linked | linked.T
-    np.fill_diagonal(linked, True)
-    labels = linked.argmax(axis=1)  # the first linked index, at most the index itself
+def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The smallest index connected to each of ``range(size)``, where each
+    ``a[k]`` is linked to ``b[k]``."""
+    labels = np.arange(size)
     while True:
-        # Each label stays an index of the same block and only falls, so a
-        # fixed point has one label per block: its smallest index.
-        lowered = np.where(linked, labels, labels.size).min(axis=1)
-        lowered = lowered[lowered]
-        if np.array_equal(lowered, labels):
+        # Each label stays an index of the same block and only falls.
+        # Reading a label's own label halves a chain in index order, such as
+        # a bidiagonal pattern's, so it takes O(log size) rounds; a scrambled
+        # chain can take more, but a block that large costs its decomposition
+        # far more.  Once every link joins equal labels, each block has one
+        # label: its smallest index.
+        np.minimum.at(labels, b, labels[a])
+        np.minimum.at(labels, a, labels[b])
+        labels = labels[labels]
+        if (labels[a] == labels[b]).all():
             return labels
-        labels = lowered
 
 
 @dataclass

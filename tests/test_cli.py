@@ -198,6 +198,27 @@ class TestOracleCommand:
         code, report, _ = run(capsys, ["oracle", "--random", "10000", "--t", "0.5"])
         assert code == 0 and built == [10000] and report["inputs"]["source"]["random"] == 10000
 
+    def test_tree_file_size_is_bounded_before_any_comparison(self, tmp_path, capsys, monkeypatch):
+        from treeshift import oracle
+
+        compared = []
+
+        def record(w, tree, t_values):
+            compared.append(len(tree.vertices()))
+            return oracle.ComparisonReport(n=compared[-1])
+
+        def star(n):
+            edges = [{"parent": "0", "child": str(v), "weight": 1.0} for v in range(1, n)]
+            return {"vertices": [str(v) for v in range(n)], "edges": edges}
+
+        monkeypatch.setattr(oracle, "compare_with_formula", record)
+        code, report, err = run(capsys, ["oracle", write(tmp_path, "over.json", star(4001))])
+        assert (code, report, err) == (1, None, "error: oracle takes a tree of at most 4,000 vertices, got 4,001\n")
+        assert compared == []
+        # the bound itself is accepted
+        code, report, _ = run(capsys, ["oracle", write(tmp_path, "bound.json", star(4000))])
+        assert code == 0 and compared == [4000] and report["instances"][0]["n"] == 4000
+
     # A repeated value ran every comparison twice under one report key.
     @pytest.mark.parametrize(
         "t, repeated", [("0.5,0.5", "0.5"), ("0.1,0.5,0.50", "0.5"), ("1,0.9,1.0", "1.0")]

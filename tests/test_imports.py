@@ -504,6 +504,65 @@ def test_eigen_solver_site_check_flags_planted_uses():
     ]
 
 
+# The dense side is the independent ground truth, so ``oracle.polar`` factors
+# T from the matrix alone: neither it nor any function or class of its module
+# that it names may name the tree, a weight, a node norm or an aggregate, or
+# anything imported from the modules that compute them.
+FORMULA_NAMES = ("node_norm", "weight", "tree", "aggregate")
+FORMULA_MODULES = ("trees", "weights")
+
+
+def formula_reads(source: str, entry: str) -> list:
+    """Each formula name read by ``entry`` or by a module-level function or
+    class it names, directly or through another, as ``function: name (line N)``."""
+    module = ast.parse(source)
+    defs = {node.name: node for node in module.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    forbidden = set(FORMULA_NAMES)
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in FORMULA_MODULES:
+            forbidden.update(alias.asname or alias.name for alias in node.names)
+    found, seen, todo = [], set(), [entry]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                todo.append(node.id)
+            word = {ast.Name: "id", ast.Attribute: "attr", ast.arg: "arg"}.get(type(node))
+            if word and getattr(node, word) in forbidden:
+                found.append(f"{name}: {getattr(node, word)} (line {node.lineno})")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in FORMULA_MODULES:
+                found.append(f"{name}: import from {node.module} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_polar_reads_no_tree_or_weight():
+    assert formula_reads((PACKAGE / "oracle.py").read_text(encoding="utf-8"), "polar") == []
+
+
+def test_formula_read_check_flags_planted_reads():
+    source = (
+        "import numpy as np\n"
+        "from .weights import TableWeights, node_norm as norm_of\n"
+        "from .trees import finite_tree\n\n\n"
+        "def polar(matrix):\n    return _scale(matrix) + Factors(matrix).size\n\n\n"
+        "def _scale(matrix):\n    return matrix * norm_of(0) + _degree(matrix)\n\n\n"
+        "def _degree(matrix, tree=None):\n    return len(finite_tree([None]).vertices())\n\n\n"
+        "class Factors:\n    def size(self, w):\n"
+        "        from treeshift.weights import aluthge_weights\n        return w.weight(1)\n\n\n"
+        "def unrelated(w):\n    return w.aggregate(0), TableWeights\n"
+    )
+    assert formula_reads(source, "polar") == [
+        "Factors: import from treeshift.weights (line 20)",
+        "Factors: weight (line 21)",
+        "_degree: finite_tree (line 15)",
+        "_degree: tree (line 14)",
+        "_scale: norm_of (line 11)",
+    ]
+
+
 ORACLE_NAMES = ("assemble", "compare_with_formula", "matrix_aluthge", "polar", "random_tree_corpus")
 
 

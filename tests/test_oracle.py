@@ -72,12 +72,23 @@ def _block_shape_matrices(dtype):
     unitary, _ = np.linalg.qr(draw(5, 5))
     tall = np.zeros((6, 6), dtype=dtype)
     tall[np.ix_([0, 2, 3, 5], [1, 4])] = draw(4, 2)  # two zero rows, four zero columns
+    mixed = np.zeros((14, 14), dtype=dtype)  # rows 8 and 11 and columns 5, 10 and 13 stay zero
+    mixed[[0, 3, 5], 1] = draw(3)  # one column
+    mixed[2, [0, 4, 6]] = draw(3)  # one row
+    mixed[np.ix_([4, 7], [2, 8])] = draw(2, 2)  # two 2 x 2 blocks, one batch
+    mixed[np.ix_([1, 13], [7, 12])] = draw(2, 2)
+    mixed[np.ix_([6, 9, 10], [3, 9])] = draw(3, 2)
+    mixed[12, 11] = draw(1)[0]  # one entry
     return {
         "zero": np.zeros((4, 4), dtype=dtype),
         "zero 1x1": np.zeros((1, 1), dtype=dtype),
         "unitary": unitary,
         "tall": tall,
         "wide": tall.conj().T,
+        "dense": draw(7, 7),  # one block
+        "bidiagonal": np.diag(draw(9)) + np.diag(draw(8), 1),  # one chain of 17 links
+        "mixed": mixed,  # every route through polar
+        "1x1": draw(1, 1),
     }
 
 
@@ -135,13 +146,11 @@ class TestPolar:
             assert np.array_equal(identity, np.eye(n))
 
     def test_svd_factors_the_tall_nonzero_block(self, monkeypatch):
-        # Both decompositions of one comparison factor T's block of nonzero
-        # rows and columns, taller than wide: the adjoint's block is wide, so
-        # polar decomposes its conjugate transpose, which is T's block again.
-        (tree, w), = _large_trees([200], seed=5)
-        matrix = assemble(w).matrix
-        block = matrix[np.ix_(matrix.any(axis=1), matrix.any(axis=0))]
-        assert block.shape[0] > block.shape[1] and block.shape[0] < matrix.shape[0]
+        # A shift and its adjoint are factored from their own column and row
+        # norms, so a whole comparison calls no SVD.  Only a block with more
+        # than one nonzero row and column reaches the SVD, exactly as it
+        # stands in the matrix: here the tall 4 x 2 block, and its adjoint's
+        # wide one, each a batch of one.
         inputs = []
         real_svd = np.linalg.svd
 
@@ -150,10 +159,15 @@ class TestPolar:
             return real_svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording)
+        (tree, w), = _large_trees([200], seed=5)
         compare_with_formula(w, t_values=(0.5,))
-        assert len(inputs) == 2
-        for got in inputs:
-            assert got.shape == block.shape and np.array_equal(got, block)
+        assert inputs == []
+        tall = _block_shape_matrices(np.complex128)["tall"]
+        block = tall[np.ix_([0, 2, 3, 5], [1, 4])]
+        polar(tall)
+        polar(tall.conj().T)
+        assert [got.shape for got in inputs] == [(1, 4, 2), (1, 2, 4)]
+        assert np.array_equal(inputs[0][0], block) and np.array_equal(inputs[1][0], block.conj().T)
 
 
 class TestRealArithmetic:
@@ -495,6 +509,71 @@ class TestBlockRoute:
                     assert abs(got[key] - value) <= 1e-13, key
                 else:  # n, the booleans and skipped_singular
                     assert got[key] == value, key
+
+
+# Each read of the factors, with the power of the matrix's scale it carries.
+_FACTOR_READS = {
+    "u_factor": (lambda f: f.u_factor, 0),
+    "p_factor": (lambda f: f.p_factor, 1),
+    "|T*|^0.5": (lambda f: left_psd_power(f, 0.5), 0.5),
+    "|T*|^1": (lambda f: left_psd_power(f, 1.0), 1),
+    "|T*|^2": (lambda f: left_psd_power(f, 2.0), 2),
+    "transform 0.1": (lambda f: oracle._transform(f, 0.1), 1),
+    "transform 1.0": (lambda f: oracle._transform(f, 1.0), 1),
+}
+
+
+def _assert_reads_agree(got, want, scale):
+    for name, (read, power) in _FACTOR_READS.items():
+        assert np.max(np.abs(read(got) - read(want)), initial=0.0) <= 1e-13 * scale**power, name
+
+
+class TestBlockFactors:
+    """``polar`` block by block against ``_full_svd_polar`` on matrices that
+    are not shifts, so the batched SVD runs beside the rank-one blocks."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize(
+        "name", ["zero", "zero 1x1", "1x1", "unitary", "tall", "wide", "dense", "bidiagonal", "mixed"]
+    )
+    def test_matches_the_full_svd(self, dtype, name):
+        matrix = _block_shape_matrices(dtype)[name]
+        got = polar(matrix)
+        want = _full_svd_polar(matrix)
+        assert got.left.dtype == got.right.dtype == dtype
+        assert got.left.shape == got.right.shape == want.left.shape
+        assert np.allclose(np.sort(got.singular_values), np.sort(want.singular_values), rtol=1e-13, atol=0.0)
+        _assert_reads_agree(got, want, max(1.0, float(np.max(np.abs(matrix)))))
+
+    def test_cutoff_is_global(self):
+        # A star whose one leg goes on with weight 1e-14: that weight is a
+        # block of its own, below the cutoff of the largest singular value
+        # though it is its own block's largest.
+        tree = finite_tree([None, 0, 0, 0, 1])
+        shift = assemble(TableWeights(tree, {1: 1.0, 2: 0.9, 3: 1.1, 4: 1e-14})).matrix
+        mixed = _block_shape_matrices(np.complex128)["mixed"]
+        mixed[np.ix_([4, 7], [2, 8])] *= 1e-14  # a whole multi-column block below the cutoff
+        for matrix in (shift, shift.conj().T, mixed, mixed.conj().T):
+            got, want = polar(matrix), _full_svd_polar(matrix)
+            assert got.singular_values.size == want.singular_values.size < np.count_nonzero(matrix.any(axis=0))
+            _assert_reads_agree(got, want, max(1.0, float(np.max(np.abs(matrix)))))
+
+    # A norm taken as sqrt(sum |v|^2) gives 0 at 1e-170 and 1e-300 and inf at
+    # 1e170, and then divides by it; numpy's RuntimeWarning fails the test.
+    @pytest.mark.parametrize("scale", [1e-170, 1e170, 1e-300])
+    def test_extreme_scales(self, scale):
+        path = finite_tree([None, 0, 1, 2, 3])
+        star = finite_tree([None, 0, 0, 0, 0])
+        for tree in (path, star):
+            for phase in (1.0, np.exp(0.7j)):
+                w = TableWeights(tree, {v: scale * (0.5 + v) * phase**v for v in range(1, 5)})
+                matrix = assemble(w).matrix
+                for side in (matrix, matrix.conj().T):
+                    got, want = polar(side), _full_svd_polar(side)
+                    values = np.sort(got.singular_values)[::-1]
+                    assert values.shape == want.singular_values.shape
+                    assert np.all(np.abs(values - want.singular_values) <= 2 * np.spacing(want.singular_values))
+                    assert np.max(np.abs(got.u_factor - want.u_factor)) <= 1e-15
 
 
 def _full_eigvalsh_defect(matrix):
