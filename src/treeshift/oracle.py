@@ -128,24 +128,28 @@ class PolarFactors:
 
 def polar(matrix: np.ndarray) -> PolarFactors:
     """The factors block by block, over the connected blocks of the bipartite
-    row-column pattern of the matrix's nonzero entries, found from the matrix
-    alone.
+    row-column pattern of the square matrix's nonzero entries, found from
+    the matrix alone.
 
     A block with one nonzero column or one nonzero row has rank one: its
     singular value is that column's or row's norm, its singular vector on
     that side is the column, or the conjugated row, normalised, and on the
     other side a basis vector.  Every block of a shift on a tree is of this
     kind, so a shift is factored from its own column or row norms, all in
-    one step.  Each shape of the other blocks gets one batched SVD.  The
-    cutoff is global: a value counts when it is above ``DEFAULT_RANK_TOL``
-    times the largest of all blocks.  The singular values come in block
-    order (the rank-one blocks by smallest column, then each shape's
-    triples), not sorted.  The exactly zero rows and columns only pad the
-    factors.
+    one step, and R*L is a gather of rows of L (one-column blocks) or of R*
+    (one-row blocks).  The other blocks go through one thin SVD of their
+    rows and columns together: under a permutation that matrix is block
+    diagonal, with the same singular values.  The cutoff is global: a value
+    counts when it is above ``DEFAULT_RANK_TOL`` times the largest of all
+    blocks.  The singular values come in block order (the rank-one blocks by
+    smallest column, then the SVD's), not sorted.  The exactly zero rows and
+    columns only pad the factors.
     """
     matrix = np.asarray(matrix)
     matrix = matrix.astype(np.result_type(matrix, np.float64), copy=False)
     n = matrix.shape[0]
+    if matrix.shape != (n, n):
+        raise OracleError(f"polar takes a square matrix, got shape {matrix.shape}")
     rows, cols = (matrix != 0).nonzero()
     values = matrix[rows, cols]
     # Columns are nodes 0..n-1 and rows n..2n-1, so a block's label is its
@@ -169,44 +173,43 @@ def polar(matrix: np.ndarray) -> PolarFactors:
         norms = root / scale
 
     # The factors' columns: one per rank-one block, in label order, then the
-    # singular triples of the other blocks, a batch per block shape.
-    sigma = [norms[rank_one]]
-    stacks = []
-    multi = (thin >= 2).nonzero()[0]
-    for h, w in sorted(set(zip(height[multi].tolist(), width[multi].tolist()))):
-        ours = (height == h) & (width == w)
-        # Each shape's blocks in label order, and each block's members in index order.
-        c, r = (np.flatnonzero(ours[side]) for side in (labels[:n], labels[n:]))
-        c = c[np.argsort(labels[c], kind="stable")].reshape(-1, w)
-        r = r[np.argsort(labels[n + r], kind="stable")].reshape(-1, h)
+    # singular triples of the other blocks.
+    multi_rows = np.flatnonzero(thin[labels[n:]] >= 2)
+    multi_cols = np.flatnonzero(thin[labels[:n]] >= 2)
+    sigma = norms[rank_one]
+    if multi_cols.size:
         try:
-            a, s, b_h = np.linalg.svd(matrix[r[:, :, None], c[:, None, :]], full_matrices=False)
+            a, s, b_h = np.linalg.svd(matrix[np.ix_(multi_rows, multi_cols)], full_matrices=False)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise OracleError(f"SVD failed: {exc}") from exc
-        sigma.append(s.ravel())
-        stacks.append((r, c, a, b_h.conj().transpose(0, 2, 1)))
-    sigma = np.concatenate(sigma)
+        sigma = np.concatenate((sigma, s))
     left = np.zeros((n, sigma.size), dtype=matrix.dtype)
     right = np.zeros(left.shape, dtype=left.dtype)
+    if multi_cols.size:
+        left[multi_rows, rank_one.size:], right[multi_cols, rank_one.size:] = a, b_h.conj().T
 
     # A rank-one block's entries are its column's, or its row's, conjugated:
-    # each sets one entry of the normalised vector, beside a basis vector.
+    # each sets one entry of the normalised vector, beside a basis vector.  A
+    # 1 x 1 block can take either side; it takes the row's when every block
+    # has one row, so that L is all basis vectors.
+    by_row = not multi_cols.size and bool((height[rank_one] == 1).all())
     on = thin[block] == 1
     block = block[on]
     slot = rank_one.searchsorted(block)
     unit = values[on] * scale[block] / root[block]
-    one_column = width[block] == 1
+    one_column = (width[block] == 1) & (not by_row)
     left[rows[on], slot] = np.where(one_column, unit, 1.0)
     right[cols[on], slot] = np.where(one_column, 1.0, unit.conj())
-    start = rank_one.size
-    for r, c, a, b in stacks:
-        at = start + np.arange(a.shape[0] * a.shape[2]).reshape(a.shape[0], 1, -1)
-        left[r[:, :, None], at], right[c[:, :, None], at] = a, b
-        start += at.size
 
     keep = sigma > DEFAULT_RANK_TOL * sigma.max(initial=0.0)
     if not keep.all():
         sigma, left, right = sigma[keep], left[:, keep], right[:, keep]
+    if by_row:  # column j of R*L is R*'s column at block j's row
+        row_of = np.zeros(rank_one.size, dtype=np.intp)
+        row_of[slot] = rows[on]
+        return PolarFactors(sigma, left, right, right[row_of[keep]].conj().T)
+    if not multi_cols.size and (width[rank_one] == 1).all():  # row j of R*L is L's row at block j's column
+        return PolarFactors(sigma, left, right, left[rank_one[keep]])
     shared = (height[labels[:n]] > 0) & (width[labels[n:]] > 0)  # rows where both factors can be nonzero
     return PolarFactors(sigma, left, right, right[shared].conj().T @ left[shared])
 

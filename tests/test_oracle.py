@@ -75,7 +75,7 @@ def _block_shape_matrices(dtype):
     mixed = np.zeros((14, 14), dtype=dtype)  # rows 8 and 11 and columns 5, 10 and 13 stay zero
     mixed[[0, 3, 5], 1] = draw(3)  # one column
     mixed[2, [0, 4, 6]] = draw(3)  # one row
-    mixed[np.ix_([4, 7], [2, 8])] = draw(2, 2)  # two 2 x 2 blocks, one batch
+    mixed[np.ix_([4, 7], [2, 8])] = draw(2, 2)  # two 2 x 2 blocks
     mixed[np.ix_([1, 13], [7, 12])] = draw(2, 2)
     mixed[np.ix_([6, 9, 10], [3, 9])] = draw(3, 2)
     mixed[12, 11] = draw(1)[0]  # one entry
@@ -150,7 +150,7 @@ class TestPolar:
         # norms, so a whole comparison calls no SVD.  Only a block with more
         # than one nonzero row and column reaches the SVD, exactly as it
         # stands in the matrix: here the tall 4 x 2 block, and its adjoint's
-        # wide one, each a batch of one.
+        # wide one.
         inputs = []
         real_svd = np.linalg.svd
 
@@ -166,8 +166,8 @@ class TestPolar:
         block = tall[np.ix_([0, 2, 3, 5], [1, 4])]
         polar(tall)
         polar(tall.conj().T)
-        assert [got.shape for got in inputs] == [(1, 4, 2), (1, 2, 4)]
-        assert np.array_equal(inputs[0][0], block) and np.array_equal(inputs[1][0], block.conj().T)
+        assert [got.shape for got in inputs] == [(4, 2), (2, 4)]
+        assert np.array_equal(inputs[0], block) and np.array_equal(inputs[1], block.conj().T)
 
 
 class TestRealArithmetic:
@@ -530,7 +530,8 @@ def _assert_reads_agree(got, want, scale):
 
 class TestBlockFactors:
     """``polar`` block by block against ``_full_svd_polar`` on matrices that
-    are not shifts, so the batched SVD runs beside the rank-one blocks."""
+    are not shifts, so the SVD of the multi-column blocks runs beside the
+    rank-one blocks."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize(
@@ -545,15 +546,22 @@ class TestBlockFactors:
         assert np.allclose(np.sort(got.singular_values), np.sort(want.singular_values), rtol=1e-13, atol=0.0)
         _assert_reads_agree(got, want, max(1.0, float(np.max(np.abs(matrix)))))
 
+    def test_rectangular_input_refused(self):
+        with pytest.raises(OracleError, match="square"):
+            polar(np.ones((4, 6)))
+
     def test_cutoff_is_global(self):
-        # A star whose one leg goes on with weight 1e-14: that weight is a
-        # block of its own, below the cutoff of the largest singular value
-        # though it is its own block's largest.
-        tree = finite_tree([None, 0, 0, 0, 1])
-        shift = assemble(TableWeights(tree, {1: 1.0, 2: 0.9, 3: 1.1, 4: 1e-14})).matrix
+        # A star whose one leg goes on with weight 1e-14, and a star reached
+        # by an edge of weight 1e-14: that weight is a block of its own, last
+        # or first, below the cutoff of the largest singular value though it
+        # is its own block's largest.
+        star = finite_tree([None, 0, 0, 0, 1])
+        leg = assemble(TableWeights(star, {1: 1.0, 2: 0.9, 3: 1.1, 4: 1e-14})).matrix
+        stem = finite_tree([None, 0, 1, 1, 1, 2])
+        root = assemble(TableWeights(stem, {1: 1e-14, 2: 1.0, 3: 0.9, 4: 1.1 * np.exp(0.3j), 5: 0.8})).matrix
         mixed = _block_shape_matrices(np.complex128)["mixed"]
         mixed[np.ix_([4, 7], [2, 8])] *= 1e-14  # a whole multi-column block below the cutoff
-        for matrix in (shift, shift.conj().T, mixed, mixed.conj().T):
+        for matrix in (leg, leg.conj().T, root, root.conj().T, mixed, mixed.conj().T):
             got, want = polar(matrix), _full_svd_polar(matrix)
             assert got.singular_values.size == want.singular_values.size < np.count_nonzero(matrix.any(axis=0))
             _assert_reads_agree(got, want, max(1.0, float(np.max(np.abs(matrix)))))
