@@ -33,9 +33,6 @@ from .series import (
     Converges,
     Diverges,
     EventuallyIncreasing,
-    Inconclusive,
-    PartialSumExceeds,
-    SumPolicy,
     TermsDoNotVanish,
     inverse_square_sum,
     sum_series,
@@ -45,7 +42,6 @@ from .trees import (
     DirectedTree,
     FiniteTree,
     IntPath,
-    LazyTree,
     NatPath,
     OmegaTree,
     OmegaVertex,

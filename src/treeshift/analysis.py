@@ -45,18 +45,14 @@ def _default_sample(w: WeightSystem, sample) -> list:
 class DensityReport:
     """Whether every sampled (or, family-level, every) basis vector is in the domain."""
 
-    status: str  # "family" | "sample" | "counterexample" | "inconclusive"
+    status: str  # "family" | "sample" | "counterexample"
     counterexample: object = None
     checked: tuple = ()
     notes: str = ""
 
     @property
-    def densely_defined(self) -> Optional[bool]:
-        if self.status in ("family", "sample"):
-            return True
-        if self.status == "counterexample":
-            return False
-        return None
+    def densely_defined(self) -> bool:
+        return self.status != "counterexample"
 
 
 def check_densely_defined(w: WeightSystem, sample=None) -> DensityReport:
@@ -66,19 +62,10 @@ def check_densely_defined(w: WeightSystem, sample=None) -> DensityReport:
     if w.tree.is_finite:
         return DensityReport(status="family", notes="finite tree: all aggregates are finite sums")
     checked = []
-    unknown = False
     for u in _default_sample(w, sample):
-        verdict = basis_domain_verdict(w, u, None)
-        if verdict.is_out:
+        if basis_domain_verdict(w, u, None).is_out:
             return DensityReport(status="counterexample", counterexample=u, checked=tuple(checked))
-        unknown = unknown or not verdict.is_in
         checked.append(u)
-    if unknown:
-        return DensityReport(
-            status="inconclusive",
-            checked=tuple(checked),
-            notes="some aggregates returned no verdict under the evaluation policy",
-        )
     return DensityReport(status="sample", checked=tuple(checked))
 
 
@@ -100,7 +87,11 @@ class HyponormalityReport:
 
 def check_hyponormal(w: WeightSystem, sample=None) -> HyponormalityReport:
     """Two per-vertex conditions: zero-norm children carry zero weight, and the
-    sum over active children of |weight|^2 / child-norm^2 stays at most 1."""
+    sum over active children of |weight|^2 / child-norm^2 stays at most 1.
+
+    The verdict is ``unknown`` for a family margin that its tail bound does
+    not certify, or at a sampled vertex with infinitely many children and no
+    family margin."""
     family = w._family_margin()
     if family is not None:
         entry = MarginEntry(family.value, family.tail_bound, "closed-form-tail")
@@ -118,21 +109,13 @@ def check_hyponormal(w: WeightSystem, sample=None) -> HyponormalityReport:
     margins: dict = {}
     unknown_at = None
     for u in _default_sample(w, sample):
-        count = w.tree.child_count(u)
-        if count is None:
+        if w.tree.child_count(u) is None:
             unknown_at = (u, "infinite child set without closed form")
             continue
         terms = []
-        incomplete = False
         for v in w.tree.children(u):
             weight = w.weight(v)
             child_norm = w.node_norm(v)
-            if math.isnan(child_norm):
-                unknown_at = (v, "child norm undetermined")
-                incomplete = True
-                continue
-            if child_norm == math.inf:
-                continue  # child contributes nothing: |w|^2 / inf^2 = 0
             if child_norm == 0.0:
                 if weight != 0:
                     return HyponormalityReport(
@@ -145,8 +128,6 @@ def check_hyponormal(w: WeightSystem, sample=None) -> HyponormalityReport:
                 terms.append(abs(weight) ** 2 / child_norm**2)
             except OverflowError as exc:  # either square
                 raise OverflowError(f"margin term at {v!r} overflows") from exc
-        if incomplete:
-            continue
         margin = math.fsum(terms)
         margins[format_vertex(u)] = MarginEntry(margin, 0.0, "exact-finite")
         if margin > 1.0:
@@ -164,7 +145,7 @@ def check_hyponormal(w: WeightSystem, sample=None) -> HyponormalityReport:
 class TrivialityReport:
     """Every (sampled) basis vector outside the transform's domain."""
 
-    status: str  # "certified-family" | "certified-sample" | "refuted" | "inconclusive" | "heuristic"
+    status: str  # "certified-family" | "certified-sample" | "refuted"
     t: float
     family_certificate: object = None
     per_vertex: dict = field(default_factory=dict)
@@ -177,40 +158,24 @@ def certify_trivial_aluthge_domain(w: WeightSystem, t: float, sample=None) -> Tr
 
     Every basis vector outside the domain empties it, because any nonzero
     vector has a nonzero coefficient somewhere.  Of ``basis_domain_verdict``
-    at a vertex, ``in`` refutes, ``unknown`` leaves the report inconclusive
-    and ``out`` gives its certificate, which the transformed system has
-    already checked (a refused claim raises).  Family-level certification
-    needs closed forms at every vertex.
+    at a vertex, ``in`` refutes and ``out`` gives its certificate, which the
+    transformed system has already checked (a refused claim raises).
+    Family-level certification needs closed forms at every vertex.
     """
     mu = aluthge_weights(w, t)
     vertices = _default_sample(w, sample)
     family_cert = None
     per_vertex = {}
-    heuristic = False
-    inconclusive = False
     for i, u in enumerate(vertices):
         verdict = basis_domain_verdict(w, u, mu)
         if verdict.is_in:
             return TrivialityReport(status="refuted", t=t, refuted_vertex=u, checked=tuple(vertices))
-        if not verdict.is_out:
-            inconclusive = True
-            continue
         cert = verdict.certificate
         if i == 0 and w.closed_form_total:
             family_cert = cert
-        heuristic = heuristic or cert.heuristic
         per_vertex[format_vertex(u)] = cert
-
-    if family_cert is not None:
-        status = "certified-family"
-    elif inconclusive:
-        status = "inconclusive"
-    elif heuristic:
-        status = "heuristic"
-    else:
-        status = "certified-sample"
     return TrivialityReport(
-        status=status,
+        status="certified-family" if family_cert is not None else "certified-sample",
         t=t,
         family_certificate=family_cert,
         per_vertex=per_vertex,

@@ -25,10 +25,6 @@ class EvaluationError(TreeShiftError):
     """A derived weight could not be evaluated at a vertex."""
 
 
-class UndeterminedNormError(EvaluationError):
-    """A node norm was needed as a number, but its aggregate is inconclusive."""
-
-
 class OutOfDomainError(TreeShiftError):
     """Operator applied to a vector outside its domain.
 

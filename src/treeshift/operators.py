@@ -206,7 +206,7 @@ def truncate(profile: Sequence[Tuple[object, complex]], n: int) -> StructuredVec
 class DomainVerdict:
     """Membership verdict for one vector and one operator domain."""
 
-    status: str  # "in" | "out" | "unknown"
+    status: str  # "in" | "out"
     condition: Optional[str] = None
     vertex: object = None
     certificate: object = None
@@ -228,8 +228,7 @@ def basis_domain_verdict(w: WeightSystem, u, mu: Optional[AluthgeWeights]) -> Do
     The node norm comes first, since for t < 1 the transformed weights divide
     by it; at t = 1 it is no condition, but an infinite one raises, as the
     transform is then undefined.  A divergent aggregate gives ``out`` with its
-    certificate, an inconclusive one ``unknown``; ``evidence`` lists the
-    conditions met before the verdict.
+    certificate; ``evidence`` lists the conditions met before the verdict.
     """
     checks = [("node-norm", w, "node-norm-finite")]
     if mu is not None:
@@ -237,8 +236,6 @@ def basis_domain_verdict(w: WeightSystem, u, mu: Optional[AluthgeWeights]) -> Do
     evidence = ()
     for condition, system, label in checks:
         verdict = system.aggregate(u)
-        if isinstance(verdict, series.Inconclusive):
-            return DomainVerdict("unknown", condition, u, evidence=evidence)
         if system is w and mu is not None and mu.t == 1:
             if isinstance(verdict, series.Diverges):
                 raise EvaluationError(f"node norm at {u!r} is infinite; the transform is undefined", vertex=u)
@@ -349,18 +346,15 @@ def domain_check(w: WeightSystem, f: StructuredVector, t: Optional[float] = None
     its modulus shares; with ``t`` it is the transform's.  The adjoint needs
     no check: it is defined on every finite combination.  Of the support
     vertices' ``basis_domain_verdict``s, an ``out`` one puts the vector out
-    at once and the last ``unknown`` one makes it unknown.
+    at once.
     """
     if f.b:
         raise UnsupportedRepresentationError("domain checks take plain basis combinations")
     mu = None if t is None else aluthge_weights(w, t)
     evidence = ()
-    unknown = None
     for v in f.support():
         verdict = basis_domain_verdict(w, v, mu)
         evidence += verdict.evidence
         if verdict.is_out:
             return replace(verdict, evidence=evidence)
-        if not verdict.is_in:
-            unknown = verdict
-    return replace(unknown or DomainVerdict("in"), evidence=evidence)
+    return DomainVerdict("in", evidence=evidence)

@@ -1,11 +1,12 @@
 """Nonnegative series evaluation with certified verdicts.
 
-A sum over a child stream ends in one of three verdicts: a value with a tail
-bound, a divergence certificate, or an inconclusive partial sum.  Analytic
-certificates (terms bounded below, eventual ratio above 1) are only ever
-*claimed* by callers that own a closed form; this module verifies the claim
-against the actual terms before endorsing it.  Without such a claim, a raw
-stream can at best earn the heuristic partial-sum certificate.
+A sum over a child stream ends in one of two verdicts: a value with a tail
+bound, or a divergence certificate.  Analytic certificates (terms bounded
+below, eventual ratio above 1) are only ever *claimed* by callers that own a
+closed form; this module verifies the claim against the actual terms before
+endorsing it; each carries ``heuristic = False``, which reports print.  A
+raw stream earns no verdict here: ``sum_series`` sums a fixed number of terms
+under a tail bound that its caller supplies.
 """
 
 from __future__ import annotations
@@ -14,21 +15,17 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .errors import CertificateError, NonnegativityError
 
 __all__ = [
     "TermsDoNotVanish",
     "EventuallyIncreasing",
-    "PartialSumExceeds",
     "DivergenceCertificate",
     "Converges",
     "Diverges",
-    "Inconclusive",
     "SeriesVerdict",
-    "SumPolicy",
-    "DEFAULT_POLICY",
     "sum_series",
     "verify_certificate",
     "inverse_square_sum",
@@ -36,7 +33,6 @@ __all__ = [
 ]
 
 _REL_SLACK = 1e-9  # float slack when checking analytic certificates on computed terms
-_VERIFY_TERMS = 256  # terms ``sum_series`` checks a claim on (more if it starts late)
 
 
 @dataclass(frozen=True)
@@ -59,20 +55,7 @@ class EventuallyIncreasing:
     heuristic: bool = False
 
 
-@dataclass(frozen=True)
-class PartialSumExceeds:
-    """Partial sums crossed ``threshold`` at term ``crossed_at``.
-
-    Evidence-grade only: says nothing about the infinite tail.
-    """
-
-    kind = "partial-sum-exceeds"
-    threshold: float
-    crossed_at: int
-    heuristic: bool = True
-
-
-DivergenceCertificate = Union[TermsDoNotVanish, EventuallyIncreasing, PartialSumExceeds]
+DivergenceCertificate = Union[TermsDoNotVanish, EventuallyIncreasing]
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,30 +69,7 @@ class Diverges:
     certificate: DivergenceCertificate
 
 
-@dataclass(frozen=True, slots=True)
-class Inconclusive:
-    partial_sum: float
-    terms_evaluated: int
-
-
-SeriesVerdict = Union[Converges, Diverges, Inconclusive]
-
-
-@dataclass(frozen=True)
-class SumPolicy:
-    """Evaluation budget and verdict thresholds for ``sum_series``.
-
-    ``tail_bound`` maps the number of evaluated terms to a bound dominating
-    the true tail; convergence is only certified when it is present or the
-    stream ends.
-    """
-
-    max_terms: int = 100_000
-    divergence_threshold: float = 1e12
-    tail_bound: Optional[Callable[[int], float]] = None
-
-
-DEFAULT_POLICY = SumPolicy()
+SeriesVerdict = Union[Converges, Diverges]
 
 
 def verify_certificate(
@@ -126,24 +86,12 @@ def verify_certificate(
     ``first`` past such a term the check no longer stops there.  An infinite
     term compares as a number: a stream that grows into ``+inf`` and stays
     there passes, and a finite term after ``+inf`` drops below the claimed
-    ratio.  A partial-sum claim is checked from index 0 only.  Raises
-    :class:`CertificateError` on any contradiction.  Passing proves nothing
-    beyond the sampled window; the analytic validity of the claim is the
-    caller's responsibility.  A NaN ratio is a contradiction too; a ratio
+    ratio.  Raises :class:`CertificateError` on any contradiction.  Passing
+    proves nothing beyond the sampled window; the analytic validity of the
+    claim is the caller's responsibility.  A NaN ratio is a contradiction too; a ratio
     within the float slack of 1, which a shrinking stream would pass, raises
     ``ArithmeticError`` before any term is read.
     """
-    if isinstance(certificate, PartialSumExceeds):
-        if first != 0:
-            raise CertificateError("a partial-sum claim is checked from term 0")
-        total = 0.0
-        for n, term in enumerate(terms):
-            total += term
-            if total > certificate.threshold:
-                return
-            if n > certificate.crossed_at + count:
-                break
-        raise CertificateError("partial sums never crossed the claimed threshold")
     if isinstance(certificate, TermsDoNotVanish):
         if certificate.lower_bound <= 0:
             raise CertificateError("lower bound must be positive")
@@ -200,50 +148,25 @@ def verify_certificate(
         raise CertificateError("stream ended before the claimed start index")
 
 
-def sum_series(
-    terms: Iterable[float],
-    policy: SumPolicy = DEFAULT_POLICY,
-    certificate: Optional[DivergenceCertificate] = None,
-) -> SeriesVerdict:
-    """Evaluate a nonnegative series under the given policy.
+def sum_series(terms: Iterable[float], count: int, tail_bound: float) -> Converges:
+    """The Kahan sum of the first ``count`` terms of a nonnegative series,
+    with the caller's ``tail_bound``, which must dominate the terms past them.
 
-    With a claimed analytic ``certificate`` the terms are sampled against it
-    and the verdict is ``Diverges`` carrying that certificate.  Otherwise the
-    stream is summed: a stream that ends converges exactly; hitting the term
-    budget converges only when the policy supplies a tail bound; a partial
-    sum past the divergence threshold yields the heuristic partial-sum
-    certificate once a further term arrives, so a stream that ends at its
-    crossing is still summed exactly, unless its sum is infinite.
+    A negative or NaN term raises :class:`NonnegativityError`, and a sum that
+    is not finite raises ``OverflowError``.
     """
-    if certificate is not None:
-        verify_certificate(certificate, _nonneg(terms), _VERIFY_TERMS)
-        return Diverges(certificate)
-
     total = 0.0
     comp = 0.0  # Kahan compensation
-    n = 0
-    for term in _nonneg(terms):
-        if total > policy.divergence_threshold:
-            return Diverges(PartialSumExceeds(policy.divergence_threshold, n - 1))
+    for term in itertools.islice(terms, count):
+        if not term >= 0:  # also rejects NaN
+            raise NonnegativityError(f"negative or NaN series term {term}")
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        n += 1
-        if n >= policy.max_terms and total <= policy.divergence_threshold:
-            if policy.tail_bound is not None:
-                return Converges(total, float(policy.tail_bound(n)))
-            return Inconclusive(total, n)
-    if math.isinf(total):  # an infinite last term is never summed to a value
-        return Diverges(PartialSumExceeds(policy.divergence_threshold, n - 1))
-    return Converges(total, 0.0)
-
-
-def _nonneg(terms: Iterable[float]):
-    for term in terms:
-        if not term >= 0:  # also rejects NaN
-            raise NonnegativityError(f"negative or NaN series term {term}")
-        yield term
+    if not math.isfinite(total):
+        raise OverflowError(f"series sum {total} is not finite")
+    return Converges(total, tail_bound)
 
 
 _INV_SQUARE_TERMS = 10_000_000

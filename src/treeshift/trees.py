@@ -5,8 +5,7 @@ Finite trees store eager children lists.  The built-in infinite families
 iterator on every ``children`` call, so independent consumers never share
 iterator state.  All child streams follow one fixed enumeration order; every
 series evaluated over a child set uses that order.  ``children(u, first)``
-starts the stream at index ``first``; every tree except :class:`LazyTree`
-does so without building the children before it.
+starts the stream at index ``first`` without building the children before it.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import StructureError, TreeShiftError
 
@@ -26,7 +25,6 @@ __all__ = [
     "IntPath",
     "OmegaTree",
     "DescendantSubtree",
-    "LazyTree",
     "finite_tree",
     "nat_path",
     "int_path",
@@ -322,40 +320,6 @@ class DescendantSubtree(DirectedTree):
         for u in out:  # breadth first: the loop reaches what it appends
             out.extend(self.base.children(u))
         return out
-
-
-class LazyTree(DirectedTree):
-    """Tree defined by callables, for custom (possibly infinite) families."""
-
-    def __init__(
-        self,
-        root,
-        parent_fn: Callable,
-        children_fn: Callable,
-        child_count_fn: Optional[Callable] = None,
-        contains_fn: Optional[Callable] = None,
-    ):
-        self._root = root
-        self._parent = parent_fn
-        self._children = children_fn
-        self._count = child_count_fn
-        self._contains = contains_fn
-
-    @property
-    def root(self):
-        return self._root
-
-    def parent(self, v):
-        return self._parent(v)
-
-    def children(self, u, first=0):
-        return itertools.islice(self._children(u), first, None)
-
-    def child_count(self, u):
-        return self._count(u) if self._count is not None else None
-
-    def contains(self, v):
-        return self._contains(v) if self._contains is not None else True
 
 
 def finite_tree(parents: Sequence[Optional[int]]) -> FiniteTree:

@@ -4,10 +4,11 @@ A weight system assigns a complex weight to every non-root vertex.  The
 square norm of the shift at a basis vector is the aggregate of squared child
 weights; derived systems divide by parent norms (polar factor) or scale by a
 power of the child/parent norm ratio (Aluthge transform).  Aggregates go
-through a system's own closed form, exact finite sums, or the series engine,
-in that order; only the last two are cached.  Of the closed forms only a
-transform's may claim divergence, and the transformed system checks that
-claim; ``sum_series`` checks a node-norm claim (``_divergence_claim``).
+through a system's own closed form or an exact finite sum, in that order;
+only the sums are cached.  An infinite child set without a closed form has
+no aggregate: it raises :class:`EvaluationError` naming its vertex.  Of the
+closed forms only a transform's may claim divergence, and the transformed
+system checks that claim.
 
 Every system's child terms are its squared weights, one ``weight`` call per
 child, so a transform's terms are its own transformed weights squared.  A
@@ -22,7 +23,7 @@ import math
 from typing import Callable, Iterator, Mapping, Optional
 
 from . import series
-from .errors import EvaluationError, StructureError, UndeterminedNormError
+from .errors import EvaluationError, StructureError
 from .trees import DescendantSubtree, DirectedTree, OmegaTree
 
 __all__ = [
@@ -41,8 +42,8 @@ __all__ = [
 class WeightSystem:
     """Base class: weights live on non-root vertices of ``tree``.
 
-    A family states its analytic facts through hooks that the analysis layer
-    reads without naming a class; the built-in family overrides all six:
+    A family states its analytic facts through six hooks that the analysis
+    layer reads without naming a class; the built-in family overrides all six:
     ``_closed_form`` and ``_aluthge_closed_form`` (aggregates of the system
     and of its transforms; only the latter may claim divergence, which
     ``AluthgeWeights`` checks), ``closed_form_total`` (they cover every vertex),
@@ -55,11 +56,10 @@ class WeightSystem:
 
     closed_form_total = False
 
-    def __init__(self, tree: DirectedTree, policy: series.SumPolicy = series.DEFAULT_POLICY):
+    def __init__(self, tree: DirectedTree):
         self.tree = tree
-        self.policy = policy
         self._aggregates: dict = {}
-        self._norms: dict = {}  # the square roots of the cached convergent aggregates
+        self._norms: dict = {}  # the square roots of the cached sums
 
     def weight(self, v) -> complex:
         raise NotImplementedError
@@ -84,9 +84,6 @@ class WeightSystem:
     def _aluthge_closed_form(self, u, t: float) -> Optional[series.SeriesVerdict]:
         return None
 
-    def _divergence_claim(self, u) -> Optional[series.DivergenceCertificate]:
-        return None
-
     def _aluthge_unit_terms(self, t: float, first: int) -> Optional[Iterator[float]]:
         """A stream ``g`` from index ``first`` on such that, at every vertex
         ``u``, the transform's squared child weights are ``c(u) * g(n)`` for
@@ -103,8 +100,8 @@ class WeightSystem:
         """Verdict for the sum of squared child weights at ``u``.
 
         Closed forms cost O(1) and are recomputed on every call; only exact
-        finite sums and series verdicts are cached, each convergent one with
-        its square root, which ``node_norm`` reads.
+        finite sums are cached, each with its square root, which
+        ``node_norm`` reads.
         """
         cached = self._aggregates.get(u)
         if cached is not None:
@@ -114,23 +111,21 @@ class WeightSystem:
             return closed
         verdict = self._summed_aggregate(u)
         self._aggregates[u] = verdict
-        if isinstance(verdict, series.Converges):
-            self._norms[u] = math.sqrt(verdict.value)
+        self._norms[u] = math.sqrt(verdict.value)
         return verdict
 
-    def _summed_aggregate(self, u) -> series.SeriesVerdict:
-        if self.tree.child_count(u) is not None:
-            try:
-                total = math.fsum(self.child_terms(u))
-            except OverflowError as exc:  # a weight, its square or fsum's running sum
-                raise OverflowError(f"squared-weight sum at {u!r} overflows") from exc
-            if total == math.inf:
-                raise OverflowError(f"squared-weight sum at {u!r} overflows")
-            if math.isnan(total):
-                raise EvaluationError(f"squared-weight sum at {u!r} is nan", vertex=u)
-            return series.Converges(total, 0.0)
-        stream = self.child_terms(u)
-        return series.sum_series(stream, self.policy, certificate=self._divergence_claim(u))
+    def _summed_aggregate(self, u) -> series.Converges:
+        if self.tree.child_count(u) is None:
+            raise EvaluationError(f"infinite child set at {u!r} has no closed form", vertex=u)
+        try:
+            total = math.fsum(self.child_terms(u))
+        except OverflowError as exc:  # a weight, its square or fsum's running sum
+            raise OverflowError(f"squared-weight sum at {u!r} overflows") from exc
+        if total == math.inf:
+            raise OverflowError(f"squared-weight sum at {u!r} overflows")
+        if math.isnan(total):
+            raise EvaluationError(f"squared-weight sum at {u!r} is nan", vertex=u)
+        return series.Converges(total, 0.0)
 
     def child_terms(self, u, first: int = 0) -> Iterator[float]:
         """Squared weights of the children of ``u``, in enumeration order
@@ -139,25 +134,20 @@ class WeightSystem:
 
     def node_norm(self, u) -> float:
         """Norm of the shift at the basis vector of ``u``: the square root of
-        the aggregate, ``inf`` when it diverges, ``nan`` when its verdict is
-        inconclusive.  The verdict and its certificate are ``aggregate(u)``."""
+        the aggregate, or ``inf`` when it diverges.  The verdict and its
+        certificate are ``aggregate(u)``."""
         norm = self._norms.get(u)
         if norm is not None:
             return norm
         verdict = self.aggregate(u)
-        if isinstance(verdict, series.Converges):
-            return math.sqrt(verdict.value)
-        return math.inf if isinstance(verdict, series.Diverges) else math.nan
+        return math.sqrt(verdict.value) if isinstance(verdict, series.Converges) else math.inf
 
     def finite_norm(self, u, vertex=None) -> float:
-        """The node norm at ``u``; an infinite or undetermined one is an
-        evaluation error naming ``vertex`` (default ``u``)."""
+        """The node norm at ``u``; an infinite one is an evaluation error
+        naming ``vertex`` (default ``u``)."""
         s = self.node_norm(u)
-        if not math.isfinite(s):
-            named = u if vertex is None else vertex
-            if s == math.inf:
-                raise EvaluationError(f"node norm at {u!r} is infinite", vertex=named)
-            raise UndeterminedNormError(f"node norm at {u!r} is undetermined", vertex=named)
+        if s == math.inf:
+            raise EvaluationError(f"node norm at {u!r} is infinite", vertex=u if vertex is None else vertex)
         return s
 
 
@@ -186,24 +176,15 @@ class TableWeights(WeightSystem):
 
 
 class CallableWeights(WeightSystem):
-    """Weights from a callable; optional per-vertex analytic divergence claims.
+    """Weights from a callable ``fn(v)``, for trees with finite child sets."""
 
-    ``divergence_claims``, when given, maps a vertex to a certificate that the
-    squared-weight aggregate at that vertex diverges; the claim is verified
-    against the actual child stream before being endorsed.
-    """
-
-    def __init__(self, tree, fn, divergence_claims=None, policy=series.DEFAULT_POLICY):
-        super().__init__(tree, policy)
+    def __init__(self, tree, fn):
+        super().__init__(tree)
         self._fn = fn
-        self._claims = divergence_claims
 
     def weight(self, v) -> complex:
         self._require_non_root(v)
         return complex(self._fn(v))
-
-    def _divergence_claim(self, u):
-        return self._claims(u) if self._claims is not None else None
 
 
 def _require_omega_family(tree: DirectedTree) -> None:
@@ -260,8 +241,7 @@ class OmegaShiftWeights(WeightSystem):
         return series.closed_form_aggregate(growth)
 
     def _family_margin(self):
-        policy = series.SumPolicy(max_terms=48, tail_bound=self.margin_tail_bound)
-        return series.sum_series(self.margin_terms(), policy)
+        return series.sum_series(self.margin_terms(), 48, self.margin_tail_bound(48))
 
     def _pairing_growth(self, t):
         # With g^2 the inverse-square constant, the k-th probe pairs to
@@ -342,14 +322,6 @@ class AluthgeWeights(WeightSystem):
         if parent_norm == 0.0:
             return 0j
         return (child_norm / parent_norm) ** self.t * weight
-
-    def _summed_aggregate(self, u):
-        # A transformed weight that needs an undetermined base norm is
-        # undetermined, and so is the sum over it; an infinite norm raises.
-        try:
-            return super()._summed_aggregate(u)
-        except UndeterminedNormError:
-            return series.Inconclusive(math.nan, 0)
 
     def _closed_form(self, u):
         closed = self.base._aluthge_closed_form(u, self.t)

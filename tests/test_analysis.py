@@ -26,12 +26,10 @@ from treeshift.operators import (
 from treeshift.series import (
     Diverges,
     EventuallyIncreasing,
-    SumPolicy,
     TermsDoNotVanish,
     inverse_square_sum,
 )
 from treeshift.trees import (
-    LazyTree,
     OmegaVertex,
     SampleWindow,
     descendant_subtree,
@@ -52,16 +50,11 @@ from treeshift.weights import (
 WINDOW = SampleWindow(levels=(-1, 1), depth_bound=2, digit_bound=2, deep_count=3)
 
 
-def unit_star():
-    tree = LazyTree(
-        root="hub",
-        parent_fn=lambda v: None if v == "hub" else "hub",
-        children_fn=lambda u: itertools.count(0) if u == "hub" else (),
-        child_count_fn=lambda u: None if u == "hub" else 0,
-        contains_fn=lambda v: v == "hub" or isinstance(v, int),
-    )
-    claims = lambda u: TermsDoNotVanish(0, 1.0) if u == "hub" else None
-    return CallableWeights(tree, lambda v: 1.0, divergence_claims=claims)
+def divergent_family():
+    """The family's transform at t = 1/2: every vertex is the hub of a star
+    of infinitely many children, and every node norm diverges through the
+    checked closed form."""
+    return aluthge_weights(OmegaShiftWeights(), 0.5)
 
 
 class TestDensity:
@@ -76,10 +69,11 @@ class TestDensity:
         assert report.status == "family"
 
     def test_star_counterexample(self):
-        w = unit_star()
-        report = check_densely_defined(w, sample=["hub", 1, 2])
+        w = divergent_family()
+        report = check_densely_defined(w, sample=[OmegaVertex(0), OmegaVertex(1), OmegaVertex(1, (2,))])
         assert report.status == "counterexample"
-        assert report.counterexample == "hub"
+        assert report.counterexample == OmegaVertex(0)
+        assert report.checked == ()
         assert not report.densely_defined
 
     def test_bounded_path_sample_level(self):
@@ -141,24 +135,6 @@ class TestHyponormality:
         report = check_hyponormal(OmegaShiftWeights(sub))
         assert report.verdict == "hyponormal"
         assert report.family_level
-
-
-class TestHyponormalityDivergentChild:
-    def test_child_with_divergent_norm_contributes_nothing(self):
-        # 0 -> 1 -> 2, 3, 4, ...: the root has one child, whose infinitely many
-        # children of weight 1 give it a claimed-divergent aggregate
-        tree = LazyTree(
-            root=0,
-            parent_fn=lambda v: None if v == 0 else (0 if v == 1 else 1),
-            children_fn=lambda u: (1,) if u == 0 else (itertools.count(2) if u == 1 else ()),
-            child_count_fn=lambda u: {0: 1, 1: None}.get(u, 0),
-        )
-        claims = lambda u: TermsDoNotVanish(0, 1.0) if u == 1 else None
-        w = CallableWeights(tree, lambda v: 1.0, divergence_claims=claims)
-        assert w.node_norm(1) == math.inf
-        report = check_hyponormal(w, sample=[0])
-        assert report.verdict == "hyponormal"
-        assert report.margins["0"].value == 0.0
 
 
 class TestTriviality:
@@ -408,20 +384,6 @@ class TestClaimCheckedWhereTakenIn:
         assert calls == [verdict.certificate] * 2
 
 
-def leaf_star(leaf_weight):
-    """Root 0 with children 1, 2, ..., each with the one leaf -v.  Child v has
-    weight 1/v and its leaf ``leaf_weight(v)``; the root's aggregate is a
-    series with a tail bound, every other aggregate an exact finite sum."""
-    tree = LazyTree(
-        root=0,
-        parent_fn=lambda v: None if v == 0 else (0 if v > 0 else -v),
-        children_fn=lambda u: itertools.count(1) if u == 0 else ((-u,) if u > 0 else ()),
-        child_count_fn=lambda u: None if u == 0 else int(u > 0),
-    )
-    policy = SumPolicy(max_terms=1000, tail_bound=lambda n: 1.0 / n)
-    return CallableWeights(tree, lambda v: 1.0 / v if v > 0 else leaf_weight(-v), policy=policy)
-
-
 class OpenFamilyWeights(OmegaShiftWeights):
     """The built-in family without its claim that the closed forms cover
     every vertex, so only the sampled vertices can be certified."""
@@ -430,22 +392,8 @@ class OpenFamilyWeights(OmegaShiftWeights):
 
 
 class TestTrivialityRoutes:
-    # The statuses other than certified-family and refuted, each from a
-    # system whose transformed aggregate ends in the matching verdict.
-    def test_partial_sum_crossing_is_heuristic(self):
-        # transformed weights v / norm(0): the partial sums pass the threshold
-        report = certify_trivial_aluthge_domain(leaf_star(lambda v: v**2), 1.0, sample=[0])
-        assert report.status == "heuristic"
-        assert report.per_vertex["0"].kind == "partial-sum-exceeds"
-        assert report.family_certificate is None
-
-    def test_term_budget_without_tail_bound_is_inconclusive(self):
-        # zero child norms make every transformed weight 0
-        report = certify_trivial_aluthge_domain(leaf_star(lambda v: 0.0), 0.5, sample=[0])
-        assert report.status == "inconclusive"
-        assert report.per_vertex == {}
-        assert report.checked == (0,)
-
+    # The status other than certified-family and refuted: the family's
+    # claims, checked, without its claim to cover every vertex.
     def test_verified_claims_without_family_cover_are_sampled(self):
         sample = [OmegaVertex(0), OmegaVertex(1, (2,))]
         report = certify_trivial_aluthge_domain(OpenFamilyWeights(), 0.5, sample=sample)
@@ -618,59 +566,29 @@ class TestOneDomainRoute:
 
     @staticmethod
     def undetermined():
-        # every node norm sums 100 unit terms and stops: inconclusive
-        return CallableWeights(omega_tree(), lambda v: 1.0, policy=SumPolicy(max_terms=100))
-
-    @staticmethod
-    def divergent():
-        return CallableWeights(
-            omega_tree(), lambda v: 1.0, divergence_claims=lambda u: TermsDoNotVanish(0, 1.0)
-        )
+        # infinite child sets with no closed form: no aggregate to read
+        return CallableWeights(omega_tree(), lambda v: 1.0)
 
     @pytest.mark.parametrize("t", T_VALUES)
-    def test_undetermined_norm_is_unknown_everywhere(self, t):
+    def test_undetermined_norm_raises_everywhere(self, t):
         w, u = self.undetermined(), OmegaVertex(0)
-        unknown = DomainVerdict(status="unknown", condition="node-norm", vertex=u)
-        assert domain_check(w, basis_vector(u), t=t) == unknown
-        assert aluthge_basis_action(w, t, u) == unknown
-        assert basis_domain_verdict(w, u, aluthge_weights(w, t)) == unknown
-        assert check_densely_defined(w, sample=[u]).status == "inconclusive"
-        report = certify_trivial_aluthge_domain(w, t, sample=[u])
-        assert report.status == "inconclusive"
-        assert report.per_vertex == {}
+        calls = [
+            lambda: domain_check(w, basis_vector(u), t=t),
+            lambda: aluthge_basis_action(w, t, u),
+            lambda: basis_domain_verdict(w, u, aluthge_weights(w, t)),
+            lambda: check_densely_defined(w, sample=[u]),
+            lambda: certify_trivial_aluthge_domain(w, t, sample=[u]),
+        ]
+        for call in calls:
+            with pytest.raises(EvaluationError, match="has no closed form$") as err:
+                call()
+            assert err.value.vertex == u
         # every vertex of the tree branches infinitely, so the hypothesis of
         # the branching check never holds and it reads no verdict
         assert branching_necessity_check(w, t, sample=[u]).status == "vacuous"
 
-    def test_undetermined_child_norm_is_unknown_everywhere(self):
-        # the root's children 1 and 2 each have the children (a, 0), (a, 1),
-        # ... weighing 1/(k+1): 100 terms leave the norms at 1 and 2 open
-        tree = LazyTree(
-            root=0,
-            parent_fn=lambda v: None if v == 0 else (0 if v in (1, 2) else v[0]),
-            children_fn=lambda u: [1, 2] if u == 0 else (zip(itertools.repeat(u), itertools.count()) if u in (1, 2) else ()),
-            child_count_fn=lambda u: 2 if u == 0 else (None if u in (1, 2) else 0),
-            contains_fn=lambda v: v in (0, 1, 2) or (isinstance(v, tuple) and v[0] in (1, 2) and v[1] >= 0),
-        )
-        w = CallableWeights(tree, lambda v: 1.0 if v in (1, 2) else 1.0 / (v[1] + 1), policy=SumPolicy(max_terms=100))
-        unknown = DomainVerdict(
-            status="unknown", condition="aluthge-weight-aggregate", vertex=0, evidence=((0, "node-norm-finite"),)
-        )
-        assert domain_check(w, basis_vector(0), t=0.5) == unknown
-        assert aluthge_basis_action(w, 0.5, 0) == unknown
-        report = certify_trivial_aluthge_domain(w, 0.5, sample=[0])
-        assert report.status == "inconclusive"
-        assert report.per_vertex == {}
-        assert branching_necessity_check(w, 0.5, sample=[0]).violations == ((0, unknown),)
-        assert self.statuses(w, 0.5, 0) == {"unknown"}
-        # an infinite child norm still raises
-        claims = lambda u: TermsDoNotVanish(0, 1.0) if u in (1, 2) else None
-        w = CallableWeights(tree, lambda v: 1.0, divergence_claims=claims)
-        with pytest.raises(EvaluationError, match="^node norm at 1 is infinite$"):
-            domain_check(w, basis_vector(0), t=0.5)
-
     def test_divergent_norm_is_out_below_one(self):
-        w, u = self.divergent(), OmegaVertex(0)
+        w, u = divergent_family(), OmegaVertex(0)
         base = w.aggregate(u).certificate
         out = DomainVerdict(status="out", condition="node-norm", vertex=u, certificate=base)
         assert domain_check(w, basis_vector(u), t=0.5) == out
@@ -681,7 +599,7 @@ class TestOneDomainRoute:
         assert report.per_vertex == {"0:": base}
 
     def test_divergent_norm_raises_at_one(self):
-        w, u = self.divergent(), OmegaVertex(0)
+        w, u = divergent_family(), OmegaVertex(0)
         calls = [
             lambda: domain_check(w, basis_vector(u), t=1.0),
             lambda: aluthge_basis_action(w, 1.0, u),
@@ -702,11 +620,9 @@ class TestOneDomainRoute:
 
     @staticmethod
     def statuses(w, t, u) -> set:
-        """The in/out/unknown answer of each caller at ``u``, as one set."""
+        """The in/out answer of each caller at ``u``, as one set."""
         action = aluthge_basis_action(w, t, u)
-        certify = {"refuted": "in", "inconclusive": "unknown"}.get(
-            certify_trivial_aluthge_domain(w, t, sample=[u]).status, "out"
-        )
+        certify = "in" if certify_trivial_aluthge_domain(w, t, sample=[u]).status == "refuted" else "out"
         answers = {
             domain_check(w, basis_vector(u), t=t).status,
             action.status if isinstance(action, DomainVerdict) else "in",
@@ -729,7 +645,6 @@ class TestOneDomainRoute:
     def test_callers_agree_on_infinite_trees(self, t):
         cases = [
             (OmegaShiftWeights(), OmegaVertex(1, (2,)), "out"),
-            (self.undetermined(), OmegaVertex(0), "unknown"),
             (CallableWeights(nat_path(), lambda v: 2.0), 3, "in"),
         ]
         for w, u, expected in cases:

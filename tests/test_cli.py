@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from treeshift import analysis, cli
 from treeshift.cli import ParseError, build_parser, cert_dict, emit, load_tree_spec, main
-from treeshift.series import EventuallyIncreasing, PartialSumExceeds, TermsDoNotVanish
+from treeshift.series import EventuallyIncreasing, TermsDoNotVanish
 from treeshift.trees import OmegaVertex
 
 FOUR_VERTEX = {
@@ -816,10 +816,6 @@ class TestCertificateSerialization:
             (
                 EventuallyIncreasing(start=2, ratio=1.125),
                 {"kind": "eventually-increasing", "start": 2, "ratio": 1.125, "heuristic": False},
-            ),
-            (
-                PartialSumExceeds(threshold=1e12, crossed_at=7),
-                {"kind": "partial-sum-exceeds", "threshold": 1e12, "crossed_at": 7, "heuristic": True},
             ),
         ],
     )

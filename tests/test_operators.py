@@ -25,8 +25,8 @@ from treeshift.operators import (
     zero_vector,
 )
 from treeshift.oracle import random_tree_corpus, violating_instances
-from treeshift.series import SumPolicy, inverse_square_sum
-from treeshift.trees import LazyTree, OmegaVertex, finite_tree, nat_path
+from treeshift.series import closed_form_aggregate, inverse_square_sum
+from treeshift.trees import OmegaVertex, finite_tree, nat_path
 from treeshift.weights import (
     CallableWeights,
     OmegaShiftWeights,
@@ -134,25 +134,12 @@ class TestApplyShift:
         assert_vec_close(got, {3: 2.0, 4: 1.0 + 1.0j})
 
     def test_infinite_norm_raises_out_of_domain(self):
-        import itertools
-
-        from treeshift.series import TermsDoNotVanish
-        from treeshift.trees import LazyTree
-
-        tree = LazyTree(
-            root=0,
-            parent_fn=lambda v: None if v == 0 else 0,
-            children_fn=lambda u: itertools.count(1) if u == 0 else (),
-            child_count_fn=lambda u: None if u == 0 else 0,
-        )
-        w = CallableWeights(
-            tree,
-            lambda v: 1.0,
-            divergence_claims=lambda u: TermsDoNotVanish(0, 1.0) if u == 0 else None,
-        )
+        # the family's transform: every node norm diverges through its closed form
+        w, u = aluthge_weights(OmegaShiftWeights(), 0.5), OmegaVertex(0)
         with pytest.raises(OutOfDomainError) as err:
-            apply_shift(w, basis_vector(0))
-        assert err.value.certificate is not None
+            apply_shift(w, basis_vector(u))
+        assert err.value.vertex == u
+        assert err.value.certificate == closed_form_aggregate(4.0**0.5).certificate
 
 
 @pytest.mark.parametrize(
@@ -337,6 +324,22 @@ class TestDomainCheck:
         with pytest.raises(ValueError):
             domain_check(omega, f, t=0.0)
 
+    def test_modulus_power_keeps_finite_evidence(self, omega, small_tree):
+        tree, w = small_tree
+        verdict = domain_check(w, basis_vector(0) + basis_vector(1))
+        assert verdict == DomainVerdict(status="in", evidence=((0, "node-norm-finite"), (1, "node-norm-finite")))
+        # an ``out`` vertex keeps the conditions met before it
+        u = OmegaVertex(0)
+        verdict = domain_check(omega, basis_vector(u) + basis_vector(OmegaVertex(1)), t=0.5)
+        assert (verdict.status, verdict.condition, verdict.vertex) == ("out", "aluthge-weight-aggregate", u)
+        assert verdict.evidence == ((u, "node-norm-finite"),)
+
+    def test_leaf_in_transform_domain(self, small_tree):
+        tree, w = small_tree
+        verdict = domain_check(w, basis_vector(3), t=0.5)
+        assert verdict.is_in
+        assert verdict.evidence == ((3, "node-norm-finite"), (3, "aluthge-aggregate-finite"))
+
 
 class TestTruncate:
     def test_zero_terms(self):
@@ -367,61 +370,3 @@ class TestTruncate:
             previous_tail, previous_shift = tail, shift_tail
         assert truncate(profile, n).e == f.e
         assert (f - truncate(profile, n)).is_zero
-
-
-class TestUndeterminedNodeNorm:
-    @pytest.fixture
-    def w(self):
-        # the root's children 1, 2, ... weigh 1/v; 100 terms with no tail
-        # bound leave the root's aggregate inconclusive
-        import itertools
-
-        tree = LazyTree(
-            root=0,
-            parent_fn=lambda v: None if v == 0 else 0,
-            children_fn=lambda u: itertools.count(1) if u == 0 else (),
-            child_count_fn=lambda u: None if u == 0 else 0,
-            contains_fn=lambda v: isinstance(v, int) and v >= 0,
-        )
-        return CallableWeights(tree, lambda v: 1.0 / v, policy=SumPolicy(max_terms=100))
-
-    def test_shift_domain_unknown(self, w):
-        verdict = domain_check(w, basis_vector(0))
-        assert verdict == DomainVerdict(status="unknown", condition="node-norm", vertex=0)
-
-    def test_modulus_power_keeps_finite_evidence(self, w):
-        f = basis_vector(0) + basis_vector(1)
-        verdict = domain_check(w, f)
-        assert verdict.status == "unknown"
-        assert verdict.condition == "node-norm"
-        assert verdict.vertex == 0
-        assert verdict.evidence == ((1, "node-norm-finite"),)
-
-    def test_leaf_in_transform_domain(self, w):
-        verdict = domain_check(w, basis_vector(1), t=0.5)
-        assert verdict.is_in
-        assert verdict.evidence == ((1, "node-norm-finite"), (1, "aluthge-aggregate-finite"))
-
-    def test_transform_action_at_root_is_unknown(self, w):
-        verdict = aluthge_basis_action(w, 0.5, 0)
-        assert verdict == DomainVerdict(status="unknown", condition="node-norm", vertex=0)
-
-    def test_last_unknown_vertex_is_reported(self):
-        # 0 has the children 1 and 2; each of them has the children (u, 1), (u, 2), ...
-        import itertools
-
-        tree = LazyTree(
-            root=0,
-            parent_fn=lambda v: None if v == 0 else (0 if v in (1, 2) else v[0]),
-            children_fn=lambda u: (
-                [1, 2] if u == 0 else (((u, k) for k in itertools.count(1)) if u in (1, 2) else ())
-            ),
-            child_count_fn=lambda u: 2 if u == 0 else (None if u in (1, 2) else 0),
-        )
-        w = CallableWeights(
-            tree, lambda v: 1.0 if v in (1, 2) else 1.0 / v[1], policy=SumPolicy(max_terms=100)
-        )
-        verdict = domain_check(w, basis_vector(0) + basis_vector(1) + basis_vector(2))
-        assert verdict == DomainVerdict(
-            status="unknown", condition="node-norm", vertex=2, evidence=((0, "node-norm-finite"),)
-        )

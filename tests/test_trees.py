@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from treeshift.errors import StructureError
 from treeshift.trees import (
     DescendantSubtree,
-    LazyTree,
     OmegaVertex,
     SampleWindow,
     descendant_subtree,
@@ -308,16 +307,6 @@ class TestMembershipInvariant:
                 assert v in take(tree.children(tree.parent(v)), 3)
 
 
-def _lazy_binary_tree():
-    return LazyTree(
-        root=1,
-        parent_fn=lambda v: None if v == 1 else v // 2,
-        children_fn=lambda u: [2 * u, 2 * u + 1],
-        child_count_fn=lambda u: 2,
-        contains_fn=lambda v: isinstance(v, int) and v >= 1,
-    )
-
-
 class TestChildrenFrom:
     # (tree, vertices) for every tree class; children(u, first) must equal
     # the stream from index 0 with the first ``first`` children dropped.
@@ -328,13 +317,12 @@ class TestChildrenFrom:
         (omega_tree(), [OmegaVertex(0), OmegaVertex(2, (1, 0, 3))]),
         (descendant_subtree(omega_tree(), OmegaVertex(0, (2,))), [OmegaVertex(1, (2, 5))]),
         (descendant_subtree(finite_tree([None, 0, 0, 1, 1]), 1), [1, 3]),
-        (_lazy_binary_tree(), [1, 6]),
     ]
 
     @pytest.mark.parametrize(
         "tree, vertices",
         CASES,
-        ids=["finite", "nat-path", "int-path", "omega", "omega-descendant", "finite-descendant", "lazy"],
+        ids=["finite", "nat-path", "int-path", "omega", "omega-descendant", "finite-descendant"],
     )
     @pytest.mark.parametrize("first", [0, 1, 2, 5])
     def test_matches_dropping_the_first_children(self, tree, vertices, first):

@@ -1,21 +1,19 @@
 import itertools
 import math
+import re
 
 import pytest
 
-from treeshift.analysis import check_densely_defined, check_hyponormal
+from treeshift.analysis import check_densely_defined
 from treeshift.errors import EvaluationError, StructureError
-from treeshift.operators import StructuredVector
+from treeshift.operators import StructuredVector, basis_vector, domain_check
 from treeshift.series import (
     Converges,
     Diverges,
-    Inconclusive,
-    SumPolicy,
-    TermsDoNotVanish,
+    closed_form_aggregate,
     inverse_square_sum,
 )
 from treeshift.trees import (
-    LazyTree,
     OmegaVertex,
     descendant_subtree,
     finite_tree,
@@ -40,29 +38,14 @@ def doubling_path():
     return CallableWeights(nat_path(), lambda v: 2.0 ** (v - 1))
 
 
-def star_with_unit_weights():
-    tree = LazyTree(
-        root=0,
-        parent_fn=lambda v: None if v == 0 else 0,
-        children_fn=lambda u: itertools.count(1) if u == 0 else (),
-        child_count_fn=lambda u: None if u == 0 else 0,
-        contains_fn=lambda v: isinstance(v, int) and v >= 0,
-    )
-    claims = lambda u: TermsDoNotVanish(start=0, lower_bound=1.0) if u == 0 else None
-    return CallableWeights(tree, lambda v: 1.0, divergence_claims=claims)
+def divergent_family():
+    # the family's transform at t = 1/2: every node norm diverges through the
+    # checked closed form
+    return aluthge_weights(OmegaShiftWeights(), 0.5)
 
 
-def undetermined_star():
-    # the root's children 1, 2, ... weigh 1/v; 100 terms with no tail bound
-    # leave the aggregate at the root inconclusive
-    tree = LazyTree(
-        root=0,
-        parent_fn=lambda v: None if v == 0 else 0,
-        children_fn=lambda u: itertools.count(1) if u == 0 else (),
-        child_count_fn=lambda u: None if u == 0 else 0,
-        contains_fn=lambda v: isinstance(v, int) and v >= 0,
-    )
-    return CallableWeights(tree, lambda v: 1.0 / v, policy=SumPolicy(max_terms=100))
+# a vertex of the family and its first child
+APEX, FIRST_CHILD = OmegaVertex(0), OmegaVertex(1)
 
 
 class TestNodeNorm:
@@ -92,15 +75,18 @@ class TestNodeNorm:
             w.node_norm(0)
 
     def test_infinite_norm_with_claim(self):
-        w = star_with_unit_weights()
-        nn = node_norm(w, 0)
+        w = divergent_family()
+        nn = node_norm(w, APEX)
         assert nn == math.inf
-        assert w.aggregate(0).certificate == TermsDoNotVanish(start=0, lower_bound=1.0)
+        assert w.aggregate(APEX) == closed_form_aggregate(4.0**0.5)
 
     def test_aggregate_cached(self):
         # Summed aggregates are cached; closed forms are recomputed.
-        w = star_with_unit_weights()
+        w = CallableWeights(nat_path(), lambda v: 2.0)
         assert w.aggregate(0) is w.aggregate(0)
+        family = OmegaShiftWeights()
+        assert family.aggregate(APEX) == family.aggregate(APEX)
+        assert family.aggregate(APEX) is not family.aggregate(APEX)
         table = TableWeights(finite_tree([None, 0, 0]), {1: 1.0, 2: 2.0})
         assert table.aggregate(0) is table.aggregate(0)
 
@@ -159,10 +145,10 @@ class TestPolarWeights:
         assert agg == Converges(1.0, 0.0)
 
     def test_infinite_parent_norm_errors_with_vertex(self):
-        pi = polar_weights(star_with_unit_weights())
+        pi = polar_weights(divergent_family())
         with pytest.raises(EvaluationError) as err:
-            pi.weight(3)
-        assert err.value.vertex == 3
+            pi.weight(FIRST_CHILD)
+        assert err.value.vertex == FIRST_CHILD
 
 
 class TestAluthgeWeights:
@@ -318,68 +304,65 @@ class TestChildTerms:
         assert list(w.child_terms(0, first)) == [4.0, 9.0][first - 1 :]
 
     def test_infinite_parent_norm_names_first_child(self):
-        mu = aluthge_weights(star_with_unit_weights(), 0.5)
+        mu = aluthge_weights(divergent_family(), 0.5)
         with pytest.raises(EvaluationError) as by_weight:
-            mu.weight(1)
+            mu.weight(FIRST_CHILD)
         with pytest.raises(EvaluationError) as by_stream:
-            next(mu.child_terms(0))
-        assert by_stream.value.vertex == by_weight.value.vertex == 1
+            next(mu.child_terms(APEX))
+        assert by_stream.value.vertex == by_weight.value.vertex == FIRST_CHILD
         assert str(by_stream.value) == str(by_weight.value)
 
 
 class TestUndeterminedNorm:
-    def test_node_norm_is_nan(self):
-        w = undetermined_star()
-        assert math.isnan(node_norm(w, 0))
-        assert isinstance(w.aggregate(0), Inconclusive)
-        assert node_norm(w, 3) == 0.0
+    # An infinite child set without a closed form has no aggregate: every
+    # reader raises, naming the vertex, before it reads a child weight.
+    @staticmethod
+    def counted(value, reads):
+        def fn(v):
+            reads.append(v)
+            return value
+
+        return CallableWeights(omega_tree(), fn)
 
     def test_finite_norm_names_the_vertex(self):
-        w = undetermined_star()
-        with pytest.raises(EvaluationError, match="node norm at 0 is undetermined") as err:
-            w.finite_norm(0)
-        assert err.value.vertex == 0
-
-    def test_density_inconclusive(self):
-        report = check_densely_defined(undetermined_star(), sample=[0, 1, 2])
-        assert report.status == "inconclusive"
-        assert report.checked == (0, 1, 2)
-
-    def test_hyponormality_unknown_at_undetermined_child(self):
-        # vertex 0 has the single child 1, whose children 2, 3, ... weigh 1/v
-        tree = LazyTree(
-            root=0,
-            parent_fn=lambda v: None if v == 0 else (0 if v == 1 else 1),
-            children_fn=lambda u: [1] if u == 0 else (itertools.count(2) if u == 1 else ()),
-            child_count_fn=lambda u: 1 if u == 0 else (None if u == 1 else 0),
-            contains_fn=lambda v: isinstance(v, int) and v >= 0,
-        )
-        w = CallableWeights(tree, lambda v: 1.0 / v, policy=SumPolicy(max_terms=100))
-        report = check_hyponormal(w, sample=[0])
-        assert report.verdict == "unknown"
-        assert "child norm undetermined" in report.notes
-        assert report.margins == {}
+        w = self.counted(1.0, [])
+        message = f"^{re.escape(f'infinite child set at {APEX!r} has no closed form')}$"
+        with pytest.raises(EvaluationError, match=message) as err:
+            w.finite_norm(APEX)
+        assert err.value.vertex == APEX
 
     def test_transform_at_zero_norm_parent_reads_the_child_norm_first(self):
-        # vertex 0's single child 1 weighs 0, so 0 has norm 0; the children
-        # 2, 3, ... of 1 weigh 1/v, and 100 terms leave 1's norm undetermined
-        tree = LazyTree(
-            root=0,
-            parent_fn=lambda v: None if v == 0 else (0 if v == 1 else 1),
-            children_fn=lambda u: [1] if u == 0 else (itertools.count(2) if u == 1 else ()),
-            child_count_fn=lambda u: 1 if u == 0 else (None if u == 1 else 0),
-            contains_fn=lambda v: isinstance(v, int) and v >= 0,
-        )
-        w = CallableWeights(tree, lambda v: 0.0 if v == 1 else 1.0 / v, policy=SumPolicy(max_terms=100))
-        assert node_norm(w, 0) == 0.0 and math.isnan(node_norm(w, 1))
+        # vertex 0's single child 1 weighs 0, so 0 has norm 0; 1's own norm
+        # needs the weight at 2, which the table lacks
+        w = TableWeights(nat_path(), {1: 0.0})
+        assert node_norm(w, 0) == 0.0
         mu = aluthge_weights(w, 0.5)
         # parent norm, then the child's norm and weight, then the zero check
-        with pytest.raises(EvaluationError, match="^node norm at 1 is undetermined$") as by_weight:
+        with pytest.raises(EvaluationError, match="^no weight stored for vertex 2$") as by_weight:
             mu.weight(1)
-        with pytest.raises(EvaluationError, match="^node norm at 1 is undetermined$") as by_stream:
+        with pytest.raises(EvaluationError, match="^no weight stored for vertex 2$") as by_stream:
             next(mu.child_terms(0))
-        assert by_weight.value.vertex == by_stream.value.vertex == 1
-        assert isinstance(mu.aggregate(0), Inconclusive)
+        assert by_weight.value.vertex == by_stream.value.vertex == 2
+
+    @pytest.mark.parametrize("value", [1.0, 1e7])
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            lambda w, u: w.aggregate(u),
+            lambda w, u: node_norm(w, u),
+            lambda w, u: domain_check(w, basis_vector(u)),
+            lambda w, u: check_densely_defined(w, sample=[u]),
+        ],
+        ids=["aggregate", "node_norm", "domain_check", "density"],
+    )
+    def test_no_closed_form_raises_at_the_vertex(self, reader, value):
+        reads = []
+        w = self.counted(value, reads)
+        for u in (APEX, OmegaVertex(2, (3, 1))):
+            with pytest.raises(EvaluationError, match="has no closed form$") as err:
+                reader(w, u)
+            assert err.value.vertex == u
+        assert reads == []
 
 
 class TestWeightReadErrors:
@@ -396,12 +379,12 @@ class TestWeightReadErrors:
         tree = finite_tree([None, 0, 0, 1])
         table = TableWeights(tree, {1: 2.0, 2: 0.5, 3: 0.0})  # vertex 1 has norm 0
         partial = TableWeights(nat_path(), {1: 1.0, 2: 3.0})  # no weight at 3
-        return {"table": table, "partial": partial, "star": star_with_unit_weights()}
+        return {"table": table, "partial": partial, "divergent": divergent_family()}
 
     ROOT = (EvaluationError, "weights are defined on non-root vertices only", 0)
     OUTSIDE = (StructureError, "vertex 7 is not in this tree", None)
     MISSING = (EvaluationError, "no weight stored for vertex 3", 3)
-    INFINITE = (EvaluationError, "node norm at 0 is infinite", 1)
+    INFINITE = (EvaluationError, f"node norm at {APEX!r} is infinite", FIRST_CHILD)
     CASES = [
         ("table", "table", 0, ROOT),
         ("table", "table", 7, OUTSIDE),
@@ -409,19 +392,19 @@ class TestWeightReadErrors:
         ("polar", "table", 0, ROOT),
         ("polar", "table", 7, OUTSIDE),
         ("polar", "partial", 3, MISSING),
-        ("polar", "star", 1, INFINITE),
+        ("polar", "divergent", FIRST_CHILD, INFINITE),
         ("aluthge", "table", 0, ROOT),
         ("aluthge", "table", 7, OUTSIDE),
         ("aluthge", "partial", 3, MISSING),
         ("aluthge", "partial", 2, MISSING),  # the child's own norm reads weight 3
-        ("aluthge", "star", 1, INFINITE),
+        ("aluthge", "divergent", FIRST_CHILD, INFINITE),
     ]
 
     @pytest.mark.parametrize("system, base, v, expected", CASES)
     def test_refusal(self, system, base, v, expected):
         kind, message, vertex = expected
         w = self.SYSTEMS[system](self._bases()[base])
-        with pytest.raises(kind, match=f"^{message}$") as caught:
+        with pytest.raises(kind, match=f"^{re.escape(message)}$") as caught:
             w.weight(v)
         assert type(caught.value) is kind
         assert getattr(caught.value, "vertex", None) == vertex
@@ -430,9 +413,10 @@ class TestWeightReadErrors:
     def test_zero_parent_norm_gives_zero(self, system):
         assert self.SYSTEMS[system](self._bases()["table"]).weight(3) == 0j
 
-    @pytest.mark.parametrize("u, norm", [(1, 0.0), (0, math.inf), (2, 0.0)])
+    @pytest.mark.parametrize("u, norm", [(1, 0.0), (APEX, math.inf), (2, 0.0)])
     def test_outside_vector_refuses_a_bundle_without_finite_positive_norm(self, u, norm):
-        base = self._bases()["star" if norm == math.inf else "table"]
+        base = self._bases()["divergent" if norm == math.inf else "table"]
         assert base.node_norm(u) == norm
-        with pytest.raises(EvaluationError, match=f"^bundle at {u} needs a finite positive node norm$"):
+        message = re.escape(f"bundle at {u!r} needs a finite positive node norm")
+        with pytest.raises(EvaluationError, match=f"^{message}$"):
             StructuredVector(base, {u: 1.0}, {u: 2.0})
